@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification/validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -108,10 +109,8 @@ def cmd_families(args) -> int:
         if rec is None:
             print("none")
         else:
-            import json
             print(json.dumps(rec.to_json_obj(), sort_keys=True))
         return EXIT_OK
-    import json
     for rec in bnd.enumerate_equality_orders(args.zmax):
         print(json.dumps(rec.to_json_obj(), sort_keys=True))
     return EXIT_OK
@@ -132,9 +131,7 @@ def cmd_search(args) -> int:
     if args.greedy:
         rep = srch.greedy_max_nonincident(d, seed=args.seed)
     else:
-        rep = srch.exact_max_nonincident(
-            d, node_budget=args.budget, workers=args.threads
-        )
+        rep = srch.exact_max_nonincident(d, node_budget=args.budget)
     Path(args.out).write_text(rep.to_json())
     print(f"best_s={rep.best_s} exact={rep.exact} bound={rep.bound_used} "
           f"nodes={rep.nodes_visited}")
@@ -147,18 +144,18 @@ def cmd_verify(args) -> int:
     try:
         d = _load_design(args.design)
         cert = NonincidenceCertificate.from_json(Path(args.cert).read_text())
-    except (OSError, DesignError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    try:
         ok = verify_certificate(d, cert, require_square=args.require_square)
     except DigestMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIGEST
+    except (OSError, DesignError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     s = len(cert.Y)
     t = len(cert.C)
-    ceiling = bnd.disjoint_block_bound(d.v, s) if s <= d.v else None
-    fv = bnd.nonincidence_upper_bound(d.v) if d.v % 6 in (1, 3) else None
+    admissible = d.v % 6 in (1, 3)
+    ceiling = bnd.disjoint_block_bound(d.v, s) if admissible else None
+    fv = bnd.nonincidence_upper_bound(d.v) if admissible else None
     if ok:
         print(f"OK: s={s} blocks={t} disjoint-block ceiling={ceiling} "
               f"square-bound={fv}")
@@ -214,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--greedy", action="store_true")
     s.add_argument("--budget", type=int, default=srch.DEFAULT_NODE_BUDGET)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_search)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .design import Design, validate_design
+from .design import Design, NonincidenceCertificate, validate_design
 
 DEFAULT_MOVE_BUDGET = 10_000_000
 
@@ -208,8 +208,6 @@ def subsystem_complement_certificate(e: EmbeddedDesign):
     C is trimmed to |Y| entries when the subsystem has more blocks than
     there are outside points, so the claim stays square.
     """
-    from .design import NonincidenceCertificate
-
     d = e.design
     sub = set(e.sub_points)
     outside = [p for p in range(d.v) if p not in sub]

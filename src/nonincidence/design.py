@@ -112,9 +112,7 @@ def _point_mask(d: Design, points) -> int:
 def _covered_mask(d: Design, points) -> int:
     """Bitmask of block indices meeting the given point set."""
     m = 0
-    for p in points:
-        if not 0 <= p < d.v:
-            raise DesignError(f"point {p} outside 0..{d.v - 1}")
+    for p in _bits(_point_mask(d, points)):
         m |= d.point_incidence[p]
     return m
 
@@ -185,7 +183,7 @@ def validate_design(d: Design) -> ValidityReport:
     overcovered = [p for p, c in sorted(counts.items()) if c > 1]
     r = (v - 1) // 2
     replication_ok = (v - 1) % 2 == 0 and all(
-        bin(m).count("1") == r for m in d.point_incidence
+        m.bit_count() == r for m in d.point_incidence
     )
     return ValidityReport(
         v=v,
@@ -199,7 +197,7 @@ def validate_design(d: Design) -> ValidityReport:
 
 def disjoint_block_count(d: Design, points) -> int:
     """Number of blocks avoiding every point of the given set."""
-    return d.b - bin(_covered_mask(d, points)).count("1")
+    return d.b - _covered_mask(d, points).bit_count()
 
 
 @dataclass(frozen=True)
@@ -219,11 +217,11 @@ class CoverageProfile:
 
 def coverage_profile(d: Design, points) -> CoverageProfile:
     ymask = _point_mask(d, points)
-    s = bin(ymask).count("1")
+    s = ymask.bit_count()
     covered = _covered_mask(d, points)
     c = sum_sizes = sum_pairs = sum_squares = 0
     for i in _bits(covered):
-        k = bin(d.block_mask[i] & ymask).count("1")
+        k = (d.block_mask[i] & ymask).bit_count()
         c += 1
         sum_sizes += k
         sum_pairs += k * (k - 1) // 2
@@ -273,29 +271,39 @@ class NonincidenceCertificate:
     @classmethod
     def from_json(cls, text: str) -> "NonincidenceCertificate":
         data = json.loads(text)
-        return cls(
-            v=data["v"],
-            Y=tuple(data["Y"]),
-            C=tuple(data["C"]),
-            design_digest=data["design_digest"],
-            digest_algorithm=data.get("digest_algorithm", DIGEST_ALGORITHM),
-            meta=data.get("meta", {}),
-        )
+        try:
+            return cls(
+                v=data["v"],
+                Y=tuple(data["Y"]),
+                C=tuple(data["C"]),
+                design_digest=data["design_digest"],
+                digest_algorithm=data.get("digest_algorithm", DIGEST_ALGORITHM),
+                meta=data.get("meta", {}),
+            )
+        except (KeyError, TypeError) as exc:
+            raise DesignError(f"malformed certificate file: {exc!r}") from exc
+
+
+def _check_entries(values, n: int, what: str) -> None:
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DesignError(f"{what} {x!r} is not an integer")
+        if not 0 <= x < n:
+            raise DesignError(f"{what} {x} outside 0..{n - 1}")
+    if len(set(values)) != len(values):
+        raise DesignError(f"a {what} is listed twice")
 
 
 def certificate_violations(d: Design, cert: NonincidenceCertificate):
-    """All (point, block index) incidences that break the certificate."""
-    out = []
-    for i in cert.C:
-        if not 0 <= i < d.b:
-            raise DesignError(f"block index {i} outside 0..{d.b - 1}")
-        m = d.block_mask[i]
-        for p in cert.Y:
-            if not 0 <= p < d.v:
-                raise DesignError(f"point {p} outside 0..{d.v - 1}")
-            if m >> p & 1:
-                out.append((p, i))
-    return out
+    """All (point, block index) incidences that break the certificate.
+
+    Raises DesignError when Y or C holds a non-integer, out-of-range or
+    repeated entry: such a claim is malformed, not merely incident.
+    """
+    _check_entries(cert.Y, d.v, "point")
+    _check_entries(cert.C, d.b, "block index")
+    ymask = _point_mask(d, cert.Y)
+    return [(p, i) for i in cert.C for p in _bits(d.block_mask[i] & ymask)]
 
 
 def verify_certificate(
@@ -304,17 +312,19 @@ def verify_certificate(
     """True iff no certified point lies on any certified block.
 
     Raises DigestMismatchError when the certificate was issued for a
-    different design; with require_square also demands |Y| = |C|.
+    different design, and DesignError when Y or C is malformed (see
+    certificate_violations); with require_square also demands |Y| = |C|.
     """
     if cert.v != d.v or cert.design_digest != d.digest():
         raise DigestMismatchError(
             "certificate digest does not match the supplied design"
         )
+    bad = certificate_violations(d, cert)
     if not cert.Y or not cert.C:
         return False
     if require_square and len(cert.Y) != len(cert.C):
         return False
-    return not certificate_violations(d, cert)
+    return not bad
 
 
 def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
@@ -325,11 +335,11 @@ def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
     block indices are returned either way.
     """
     zmask = _point_mask(d, points)
-    w = bin(zmask).count("1")
+    w = zmask.bit_count()
     interior = []
     ok = w % 6 in (1, 3)
     for i, m in enumerate(d.block_mask):
-        k = bin(m & zmask).count("1")
+        k = (m & zmask).bit_count()
         if k == 3:
             interior.append(i)
         elif k == 2:
@@ -340,8 +350,8 @@ def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
 def is_maximal_arc(d: Design, points) -> bool:
     """True iff the set has (v+1)/2 points and every block meets it in 0 or 2."""
     ymask = _point_mask(d, points)
-    if 2 * bin(ymask).count("1") != d.v + 1:
+    if 2 * ymask.bit_count() != d.v + 1:
         return False
     return all(
-        bin(m & ymask).count("1") in (0, 2) for m in d.block_mask
+        (m & ymask).bit_count() in (0, 2) for m in d.block_mask
     )

@@ -1,24 +1,34 @@
 """Search for the largest square nonincident point/block set in a design.
 
-The key reduction: a design admits s points and s nonincident blocks iff
-some point set Y of size s has at least s disjoint blocks, because the
-disjoint blocks can then be picked freely.  So the search maximizes
-min(|Y|, t(Y)) over point sets Y, where t(Y) counts blocks avoiding Y.
-t is antitone under adding points, which drives the pruning.
+A design admits s points and s nonincident blocks iff some point set Y of
+size s has at least s disjoint blocks, which can then be picked freely.
+So the search maximizes min(|Y|, t(Y)), where t(Y) counts the live blocks
+(those avoiding Y); t is antitone under adding points.
+
+The exact search is one branch-and-bound.  Its incumbent starts from the
+greedy heuristic.  At each node every candidate's live degree is computed
+once, and children go in ascending degree order with t - degree as their
+t.  Counting bound: two points share at most lam blocks (the design's
+largest pair multiplicity, 1 for an STS), so adding j candidates kills at
+least S_j - lam*C(j,2) live blocks, S_j being the sum of the j smallest
+live degrees; a node is pruned unless some j >= best-|Y|+1 has
+t - S_j + lam*C(j,2) > best.  Ceiling stop: when lam <= 1 no design beats
+nonincidence_upper_bound(v), so an incumbent meeting it is a proved
+maximum and the search stops there with exact=True.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 from .bounds import nonincidence_upper_bound
-from .design import Design, NonincidenceCertificate
+from .design import Design, NonincidenceCertificate, _bits
 
 DEFAULT_NODE_BUDGET = 100_000_000
-_REORDER_DEPTH = 4
 BRUTE_FORCE_MAX_V = 15
 
 
@@ -50,121 +60,98 @@ class SearchReport:
         )
 
 
-def _first_bits(mask: int, count: int) -> list[int]:
-    out = []
-    while mask and len(out) < count:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _make_certificate(d: Design, Y, disjoint_mask: int, s: int, meta):
-    pts = sorted(Y)[:s] if s else []
-    blocks = _first_bits(disjoint_mask, s)
-    if s == 0:
-        # Degenerate: no nonincident square exists; record an empty claim.
-        return NonincidenceCertificate.build(d, [], [], meta=meta)
-    return NonincidenceCertificate.build(d, pts, blocks, meta=meta)
+    blocks = list(islice(_bits(disjoint_mask), s))
+    return NonincidenceCertificate.build(d, sorted(Y)[:s], blocks, meta=meta)
 
 
 class _BranchAndBound:
-    def __init__(self, d: Design, node_budget: int):
-        self.d = d
+    def __init__(self, d: Design, node_budget: int, bound: int):
         self.inc = d.point_incidence
         self.node_budget = node_budget
+        pairs = Counter(pair for blk in d.blocks for pair in combinations(blk, 2))
+        self.lam = max(pairs.values(), default=0)
+        # The square ceiling is a theorem only when no pair repeats.
+        self.stop_at = bound if self.lam <= 1 else d.v + 1
+        # Candidates travel as (degree << shift) | point, so sorting
+        # compares plain ints.
+        self.shift = d.v.bit_length()
+        self.low = (1 << self.shift) - 1
         self.nodes = 0
         self.truncated = False
-        self.best = 0
-        self.best_Y: tuple[int, ...] = ()
-        self.best_mask = d.all_blocks_mask()
+        warm = greedy_max_nonincident(d).certificate
+        self.best, self.best_Y = len(warm.Y), warm.Y
+        self.best_mask = sum(1 << i for i in warm.C)
+        self.at_ceiling = self.best >= self.stop_at
 
-    def run(self, cands: list[int], Y: list[int], mask: int) -> None:
-        self._rec(cands, Y, mask, bin(mask).count("1"), 0)
-
-    def _rec(self, cands, Y, mask, t, depth):
-        value = min(len(Y), t)
+    def _rec(self, cands, Y, mask, t):
+        y = len(Y)
+        value = min(y, t)
         if value > self.best:
-            self.best = value
-            self.best_Y = tuple(Y)
-            self.best_mask = mask
-        if depth <= _REORDER_DEPTH:
-            # Cheap lookahead: try low-impact points first to tighten the
-            # incumbent quickly; recomputed only at shallow depths.
-            cands = sorted(
-                cands, key=lambda p: (bin(self.inc[p] & mask).count("1"), p)
-            )
-        for i, p in enumerate(cands):
-            if len(Y) + (len(cands) - i) <= self.best:
+            self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
+            if value >= self.stop_at:
+                self.at_ceiling = True
+                return
+        best = self.best
+        n = len(cands)
+        need = best - y + 1
+        if need > n or t <= best:
+            return
+        inc, shift, low, lam = self.inc, self.shift, self.low, self.lam
+        keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
+        s = 0  # counting bound: some j >= need must still beat best
+        for j, k in enumerate(keys, 1):
+            s += k >> shift
+            if j >= need and t - s + lam * (j * (j - 1) >> 1) > best:
                 break
-            nm = mask & ~self.inc[p]
-            nt = bin(nm).count("1")
+        else:
+            return
+        pts = [k & low for k in keys]
+        for i, k in enumerate(keys):
+            if y + n - i <= self.best:
+                break
+            nt = t - (k >> shift)
             if nt <= self.best:
-                continue
+                break
             self.nodes += 1
             if self.nodes > self.node_budget:
                 self.truncated = True
                 return
+            p = pts[i]
             Y.append(p)
-            self._rec(cands[i + 1 :], Y, nm, nt, depth + 1)
+            self._rec(pts[i + 1:], Y, mask & ~inc[p], nt)
             Y.pop()
-            if self.truncated:
+            if self.truncated or self.at_ceiling:
                 return
 
 
-def _search_branch(args):
-    d, first, rest, node_budget = args
-    bb = _BranchAndBound(d, node_budget)
-    mask = d.all_blocks_mask() & ~d.point_incidence[first]
-    bb.run(rest, [first], mask)
-    return bb.best, bb.best_Y, bb.best_mask, bb.nodes, bb.truncated
-
-
 def exact_max_nonincident(
-    d: Design,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    d: Design, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchReport:
     """Branch-and-bound maximum over all point sets; exact when the budget holds.
 
-    Single-worker runs are fully deterministic.  With workers > 1 the
-    top-level branches are searched independently; best_s is identical
-    regardless of worker count, though when several optima exist the
-    certificate may name a different one.
+    Deterministic: the same design and budget give the same certificate
+    and node count.  Meeting the square ceiling ends the search early
+    with a proved maximum.
     """
     start = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
-    full = d.all_blocks_mask()
-    points = list(range(d.v))
-    if workers <= 1:
-        bb = _BranchAndBound(d, node_budget)
-        bb.run(points, [], full)
-        best, best_Y, best_mask = bb.best, bb.best_Y, bb.best_mask
-        nodes, truncated = bb.nodes, bb.truncated
-    else:
-        per_branch = max(node_budget // d.v, 1)
-        tasks = [
-            (d, p, points[i + 1 :], per_branch) for i, p in enumerate(points)
-        ]
-        best, best_Y, best_mask = 0, (), full
-        nodes, truncated = 0, False
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b, y, m, n, tr in pool.map(_search_branch, tasks):
-                nodes += n
-                truncated = truncated or tr
-                if b > best:
-                    best, best_Y, best_mask = b, y, m
-    if best > bound:
+    bb = _BranchAndBound(d, node_budget, bound)
+    if not bb.at_ceiling:
+        full = d.all_blocks_mask()
+        bb._rec(list(range(d.v)), [], full, full.bit_count())
+    if bb.best > bound:
         raise AssertionError(
-            f"search found s={best} above the theoretical ceiling {bound}"
+            f"search found s={bb.best} above the theoretical ceiling {bound}"
         )
-    meta = {"method": "exact", "exact": not truncated}
-    cert = _make_certificate(d, best_Y, best_mask, best, meta)
+    exact = bb.at_ceiling or not bb.truncated
+    meta = {"method": "exact", "exact": exact}
+    cert = _make_certificate(d, bb.best_Y, bb.best_mask, bb.best, meta)
     return SearchReport(
-        best_s=best,
+        best_s=bb.best,
         certificate=cert,
-        exact=not truncated,
-        nodes_visited=nodes,
+        exact=exact,
+        nodes_visited=bb.nodes,
         elapsed=time.perf_counter() - start,
         bound_used=bound,
         method="exact",
@@ -182,36 +169,40 @@ def greedy_max_nonincident(
     """
     t0 = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
+    inc = d.point_incidence
+    shift = d.v.bit_length()
+    low = (1 << shift) - 1
     mask = d.all_blocks_mask()
     Y: list[int] = []
+    taken: set[int] = set()
     best, best_Y, best_mask = 0, (), mask
-    nodes = 0
 
     def consume(p):
-        nonlocal mask, best, best_Y, best_mask, nodes
+        nonlocal mask, best, best_Y, best_mask
         Y.append(p)
-        mask &= ~d.point_incidence[p]
-        nodes += 1
-        value = min(len(Y), bin(mask).count("1"))
+        taken.add(p)
+        mask &= ~inc[p]
+        value = min(len(Y), mask.bit_count())
         if value > best:
             best, best_Y, best_mask = value, tuple(Y), mask
 
-    for p in start:
+    for p in dict.fromkeys(start):
         consume(p)
     while len(Y) < d.v and mask:
-        remaining = (p for p in range(d.v) if p not in set(Y))
-        p = min(
-            remaining, key=lambda q: (bin(d.point_incidence[q] & mask).count("1"), q)
+        key = min(((inc[q] & mask).bit_count() << shift) | q
+                  for q in range(d.v) if q not in taken)
+        consume(key & low)
+    if best > bound:
+        raise AssertionError(
+            f"greedy found s={best} above the theoretical ceiling {bound}"
         )
-        consume(p)
-    best = min(best, bound)
     meta = {"method": "greedy", "seed": seed, "exact": False}
     cert = _make_certificate(d, best_Y, best_mask, best, meta)
     return SearchReport(
         best_s=best,
         certificate=cert,
         exact=False,
-        nodes_visited=nodes,
+        nodes_visited=len(Y),
         elapsed=time.perf_counter() - t0,
         bound_used=bound,
         method="greedy",
@@ -234,8 +225,8 @@ def brute_force_oracle(d: Design) -> int:
     for m in range(1, n):
         low = m & -m
         covered[m] = covered[m ^ low] | inc[low.bit_length() - 1]
-        t = b - bin(covered[m]).count("1")
-        val = min(bin(m).count("1"), t)
+        t = b - covered[m].bit_count()
+        val = min(m.bit_count(), t)
         if val > best:
             best = val
     return best

@@ -177,6 +177,60 @@ class TestVerify:
         assert rc == EXIT_DIGEST
 
 
+class TestVerifyRejectsMalformed:
+    @pytest.fixture
+    def bose9(self, tmp_path):
+        design = tmp_path / "d9.json"
+        assert run("construct", "--order", "9", "--out", str(design)) == EXIT_OK
+        return design, Design.from_json(design.read_text())
+
+    def _verify(self, tmp_path, design, data, *flags):
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps(data))
+        return run("verify", "--design", str(design), "--cert", str(cert), *flags)
+
+    def _claim(self, d, Y, C):
+        return {"v": d.v, "design_digest": d.digest(), "Y": Y, "C": C}
+
+    def test_forged_duplicates_fail(self, bose9, tmp_path, capsys):
+        # Five copies of point 0 and of one block avoiding it would claim
+        # s=5, above the STS(9) ceiling of 3.
+        design, d = bose9
+        i = next(i for i, blk in enumerate(d.blocks) if 0 not in blk)
+        rc = self._verify(tmp_path, design, self._claim(d, [0] * 5, [i] * 5),
+                          "--require-square")
+        assert rc == EXIT_FAIL
+        out = capsys.readouterr()
+        assert "OK" not in out.out
+        assert "listed twice" in out.err
+
+    def test_out_of_range_block_index_fails(self, bose9, tmp_path, capsys):
+        design, d = bose9
+        rc = self._verify(tmp_path, design, self._claim(d, [0], [999]))
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "999" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_y_key_fails(self, bose9, tmp_path, capsys):
+        design, d = bose9
+        data = self._claim(d, [0], [1])
+        del data["Y"]
+        rc = self._verify(tmp_path, design, data)
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'Y'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_inadmissible_order_reports_without_bounds(self, tmp_path, capsys):
+        design = tmp_path / "d8.json"
+        d = Design.from_blocks(8, [(0, 1, 2), (3, 4, 5)])
+        design.write_text(d.to_json())
+        rc = self._verify(tmp_path, design, self._claim(d, [0], [1]))
+        assert rc == EXIT_OK
+        assert "square-bound=None" in capsys.readouterr().out
+
+
 def test_construct_search_verify_round_trip(tmp_path):
     design = tmp_path / "d.json"
     report = tmp_path / "rep.json"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -166,6 +167,28 @@ class TestCertificates:
         cert = NonincidenceCertificate.build(ag23, [0, 4, 5], [1, 2, 5], meta={"k": 1})
         again = NonincidenceCertificate.from_json(cert.to_json())
         assert again == cert
+
+    @pytest.mark.parametrize("Y,C", [
+        ((4, 4), (0, 1)),       # repeated point
+        ((4,), (0, 0)),         # repeated block
+        ((4, 5.0), (0,)),       # non-integer point
+        ((4, True), (0,)),      # bool is not a point label
+        ((4,), ("1",)),         # non-integer block index
+        ((4, 9), (0,)),         # point out of range
+        ((4,), (12,)),          # block index out of range
+    ])
+    def test_malformed_entries_rejected(self, ag23, Y, C):
+        cert = NonincidenceCertificate(
+            v=9, Y=Y, C=C, design_digest=ag23.digest()
+        )
+        with pytest.raises(DesignError):
+            verify_certificate(ag23, cert)
+
+    def test_missing_key_is_design_error(self, ag23):
+        data = json.loads(NonincidenceCertificate.build(ag23, [0], [1]).to_json())
+        del data["Y"]
+        with pytest.raises(DesignError, match="'Y'"):
+            NonincidenceCertificate.from_json(json.dumps(data))
 
 
 class TestSubsystem:

@@ -1,6 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from nonincidence import (
+    Design,
     bose,
     brute_force_oracle,
     build_sts,
@@ -53,12 +57,54 @@ class TestExactSearch:
         assert a.certificate == b.certificate
         assert a.nodes_visited == b.nodes_visited
 
-    def test_parallel_matches_serial(self):
-        d = build_sts(13, seed=9)
-        serial = exact_max_nonincident(d)
-        parallel = exact_max_nonincident(d, workers=2)
-        assert parallel.best_s == serial.best_s
-        assert verify_certificate(d, parallel.certificate, require_square=True)
+    def test_ladder_v27_proved_within_budget(self):
+        d = build_sts(27, seed=1)
+        rep = exact_max_nonincident(d, node_budget=1_750_000)
+        assert rep.exact
+        assert rep.best_s == 15
+        assert rep.nodes_visited <= 1_750_000
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    def test_ceiling_stop_is_exact(self, fano):
+        # Greedy already meets the Fano ceiling of 2: no node is needed,
+        # so even a zero budget proves the maximum.
+        rep = exact_max_nonincident(fano, node_budget=0)
+        assert rep.best_s == rep.bound_used == 2
+        assert rep.exact and rep.nodes_visited == 0
+        # Found by search: the subsystem complement meets the ceiling 12.
+        d = embed_subsystem(9, 21, seed=0).design
+        rep = exact_max_nonincident(d)
+        assert rep.best_s == rep.bound_used == 12
+        assert rep.exact
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    def test_warm_start_never_below_greedy(self):
+        d = bose(15)
+        rep = exact_max_nonincident(d, node_budget=1)
+        assert rep.best_s >= greedy_max_nonincident(d).best_s
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    @pytest.mark.parametrize("v", [7, 9, 13, 15])
+    def test_sound_on_partial_and_repeated_pair_designs(self, v):
+        # Random triple sets repeat pairs (lam > 1), where the counting
+        # bound must use lam and the square ceiling does not hold; block
+        # subsets of an STS keep lam = 1 with fewer blocks.
+        rng = random.Random(v)
+        sts = build_sts(v, seed=v)
+        triples = list(combinations(range(v), 3))
+        for trial in range(20):
+            if trial % 2:
+                blocks = rng.sample(triples, rng.randrange(1, 3 * v))
+            else:
+                blocks = rng.sample(sts.blocks, rng.randrange(1, sts.b + 1))
+            d = Design.from_blocks(v, blocks)
+            want = brute_force_oracle(d)
+            if want > nonincidence_upper_bound(v):
+                with pytest.raises(AssertionError):
+                    exact_max_nonincident(d)
+                continue
+            rep = exact_max_nonincident(d)
+            assert rep.exact and rep.best_s == want
 
 
 class TestGreedy:
@@ -82,6 +128,13 @@ class TestGreedy:
         rep = greedy_max_nonincident(emb.design, start=complement)
         assert rep.best_s >= 12
         assert verify_certificate(emb.design, rep.certificate, require_square=True)
+
+    def test_above_ceiling_raises(self):
+        # Four blocks on {0,1,2,3} leave {4,5,6} against 4 disjoint blocks:
+        # s=3 above the STS(7) ceiling of 2, which only repeated pairs allow.
+        d = Design.from_blocks(7, combinations(range(4), 3))
+        with pytest.raises(AssertionError):
+            greedy_max_nonincident(d)
 
     def test_bounded_by_ceiling(self):
         d = bose(27)
