@@ -129,7 +129,7 @@ def cmd_search(args) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_FAIL
     if args.greedy:
-        rep = srch.greedy_max_nonincident(d, seed=args.seed)
+        rep = srch.greedy_max_nonincident(d)
     else:
         rep = srch.exact_max_nonincident(d, node_budget=args.budget)
     Path(args.out).write_text(rep.to_json())
@@ -206,11 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="search a design for nonincident sets")
     s.add_argument("--design", required=True)
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--greedy", action="store_true")
+    s.add_argument("--greedy", action="store_true",
+                   help="run the greedy heuristic instead of exact search")
     s.add_argument("--budget", type=int, default=srch.DEFAULT_NODE_BUDGET)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_search)
 

@@ -330,9 +330,10 @@ def verify_certificate(
 def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
     """Whether the blocks inside the point set form an STS on it.
 
-    For a valid enclosing STS this holds iff no block meets the set in
-    exactly 2 points and the set size is an admissible order.  Interior
-    block indices are returned either way.
+    For an enclosing design without repeated pairs this holds iff no block
+    meets the set in exactly 2 points, the set size w is an admissible
+    order and w(w-1)/6 blocks lie inside (in a valid STS the last follows
+    from the first).  Interior block indices are returned either way.
     """
     zmask = _point_mask(d, points)
     w = zmask.bit_count()
@@ -344,7 +345,7 @@ def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
             interior.append(i)
         elif k == 2:
             ok = False
-    return ok, tuple(interior)
+    return ok and len(interior) == w * (w - 1) // 6, tuple(interior)
 
 
 def is_maximal_arc(d: Design, points) -> bool:

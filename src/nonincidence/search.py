@@ -15,6 +15,12 @@ live degrees; a node is pruned unless some j >= best-|Y|+1 has
 t - S_j + lam*C(j,2) > best.  Ceiling stop: when lam <= 1 no design beats
 nonincidence_upper_bound(v), so an incumbent meeting it is a proved
 maximum and the search stops there with exact=True.
+
+Subsystem decision: at an equality-family order with lam <= 1 the ceiling
+s is reached iff the design has a sub-STS(w), w = v - s (see
+find_subsystem).  So the search first looks for one.  If it exists, its
+complement is the warm start and meets the ceiling at once; if not, the
+search stops at s - 1, which is then a proved maximum.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .bounds import nonincidence_upper_bound
+from .bounds import classify_equality_order, nonincidence_upper_bound
 from .design import Design, NonincidenceCertificate, _bits
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -73,13 +79,21 @@ class _BranchAndBound:
         self.lam = max(pairs.values(), default=0)
         # The square ceiling is a theorem only when no pair repeats.
         self.stop_at = bound if self.lam <= 1 else d.v + 1
+        start = ()
+        family = classify_equality_order(d.v) if self.lam <= 1 else None
+        if family is not None:
+            sub = find_subsystem(d, family.w)
+            if sub is None:
+                self.stop_at = bound - 1
+            else:
+                start = sorted(set(range(d.v)).difference(sub))
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
         self.low = (1 << self.shift) - 1
         self.nodes = 0
         self.truncated = False
-        warm = greedy_max_nonincident(d).certificate
+        warm = greedy_max_nonincident(d, start=start).certificate
         self.best, self.best_Y = len(warm.Y), warm.Y
         self.best_mask = sum(1 << i for i in warm.C)
         self.at_ceiling = self.best >= self.stop_at
@@ -158,14 +172,11 @@ def exact_max_nonincident(
     )
 
 
-def greedy_max_nonincident(
-    d: Design, seed: int = 0, start=()
-) -> SearchReport:
+def greedy_max_nonincident(d: Design, start=()) -> SearchReport:
     """Heuristic lower bound: always add the point killing fewest live blocks.
 
-    Ties break by point index, so the result is deterministic; the seed is
-    recorded in the certificate for provenance.  An optional starting point
-    set (e.g. a known subsystem complement) is consumed first.
+    Ties break by point index, so the result is deterministic.  An optional
+    starting point set (e.g. a known subsystem complement) is consumed first.
     """
     t0 = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
@@ -196,7 +207,7 @@ def greedy_max_nonincident(
         raise AssertionError(
             f"greedy found s={best} above the theoretical ceiling {bound}"
         )
-    meta = {"method": "greedy", "seed": seed, "exact": False}
+    meta = {"method": "greedy", "exact": False}
     cert = _make_certificate(d, best_Y, best_mask, best, meta)
     return SearchReport(
         best_s=best,
@@ -207,6 +218,78 @@ def greedy_max_nonincident(
         bound_used=bound,
         method="greedy",
     )
+
+
+def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
+    """The sorted points of a sub-STS(w) of d, or None when d has none.
+
+    Sound and complete for designs in which no pair of points repeats
+    (lam <= 1); with repeated pairs the third-point table is ambiguous.
+
+    Why it decides the ceiling at a family order, where the ceiling is
+    s = w(w-1)/6 with w = v - s: let Y reach s and let W be the points
+    outside Y.  The blocks avoiding Y are exactly the blocks inside W, and
+    with lam <= 1 there are at most C(|W|,2)/3 of them.  Since |W| <= w,
+    reaching s forces |W| = w and every pair of W covered by a block inside
+    W: W is a sub-STS(w).  Conversely its complement reaches s.
+
+    Search: every closed set (a set containing the third point of each of
+    its pairs) inside a sub-STS(w) W is reached from {min W} by repeatedly
+    adding p = the least point of W not yet in the set and closing under
+    the third-point table.  Each step's closure therefore gains no point
+    below p, stays within w points and covers all its pairs; a closed set
+    of m < w points is a subsystem of W, so w >= 2m + 1.  Closures breaking
+    any of these are abandoned.  Because p is forced, every closed set is
+    reached along one path only, and proper subsystems (possible once
+    w >= 15) are grown further rather than skipped.
+    """
+    v = d.v
+    if not 1 <= w <= v:
+        return None
+    third = [[-1] * v for _ in range(v)]
+    for a, b, c in d.blocks:
+        third[a][b] = third[b][a] = c
+        third[a][c] = third[c][a] = b
+        third[b][c] = third[c][b] = a
+
+    def close(closed, mask, p):
+        members = closed + [p]
+        mask |= 1 << p
+        i = len(closed)
+        while i < len(members):
+            row = third[members[i]]
+            for q in members[:i]:
+                r = row[q]
+                if r < 0:
+                    return None
+                if not mask >> r & 1:
+                    if r < p or len(members) == w:
+                        return None
+                    members.append(r)
+                    mask |= 1 << r
+            i += 1
+        m = len(members)
+        return (members, mask) if m == w or 2 * m < w else None
+
+    def grow(closed, mask, last):
+        if len(closed) == w:
+            return closed
+        # W's w - |closed| missing points are all >= p, so p <= v - that.
+        for p in range(last + 1, v - w + len(closed) + 1):
+            if mask >> p & 1:
+                continue
+            step = close(closed, mask, p)
+            if step is not None:
+                found = grow(*step, p)
+                if found is not None:
+                    return found
+        return None
+
+    for a in range(v - w + 1):
+        found = grow([a], 1 << a, a)
+        if found is not None:
+            return tuple(sorted(found))
+    return None
 
 
 def brute_force_oracle(d: Design) -> int:

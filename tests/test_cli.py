@@ -102,7 +102,7 @@ class TestSearch:
         report = tmp_path / "rep.json"
         assert run("construct", "--order", "7", "--seed", "1",
                    "--out", str(design)) == EXIT_OK
-        assert run("search", "--design", str(design), "--exact",
+        assert run("search", "--design", str(design),
                    "--out", str(report)) == EXIT_OK
         data = json.loads(report.read_text())
         assert data["best_s"] == 2 and data["exact"] is True
@@ -113,10 +113,22 @@ class TestSearch:
         run("construct", "--order", "21", "--sub", "9", "--seed", "1",
             "--out", str(design))
         assert run("search", "--design", str(design), "--greedy",
-                   "--seed", "1", "--out", str(report)) == EXIT_OK
+                   "--out", str(report)) == EXIT_OK
         data = json.loads(report.read_text())
         assert data["exact"] is False
         assert data["best_s"] <= 12
+
+    def test_family_order_proved_by_subsystem(self, tmp_path, capsys):
+        # v=39 is a family order: the embedded sub-STS(13) proves 26.
+        design = tmp_path / "d39.json"
+        report = tmp_path / "rep.json"
+        assert run("construct", "--order", "39", "--sub", "13",
+                   "--out", str(design)) == EXIT_OK
+        assert run("search", "--design", str(design),
+                   "--out", str(report)) == EXIT_OK
+        data = json.loads(report.read_text())
+        assert data["exact"] is True and data["best_s"] == 26
+        assert "nodes=0" in capsys.readouterr().out
 
     def test_corrupt_design_rejected(self, tmp_path, capsys):
         design = tmp_path / "bad.json"
@@ -238,7 +250,7 @@ def test_construct_search_verify_round_trip(tmp_path):
     # Serialization is idempotent.
     text = design.read_text()
     assert Design.from_json(text).to_json() == text
-    assert run("search", "--design", str(design), "--exact",
+    assert run("search", "--design", str(design),
                "--out", str(report)) == EXIT_OK
     data = json.loads(report.read_text())
     cert = tmp_path / "c.json"

@@ -200,6 +200,13 @@ class TestSubsystem:
         ok, _ = is_subsystem(ag23, [p for p in range(9) if p not in (0, 4, 5)])
         assert not ok
 
+    def test_uncovered_pairs_fail(self, fano):
+        # No block meets the full point set in 2 points, yet only the
+        # Fano plane covers every pair of it.
+        assert is_subsystem(fano, range(7))[0]
+        partial = Design.from_blocks(7, fano.blocks[:3])
+        assert not is_subsystem(partial, range(7))[0]
+
     def test_doubled_design_keeps_subsystem(self):
         d19, _ = doubling(bose(9))
         ok, interior = is_subsystem(d19, range(9))

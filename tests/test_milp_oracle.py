@@ -7,7 +7,13 @@ the largest square nonincident set, solved by HiGHS through scipy.
 
 import pytest
 
-from nonincidence import build_sts, doubling, embed_subsystem, exact_max_nonincident
+from nonincidence import (
+    bose,
+    build_sts,
+    doubling,
+    embed_subsystem,
+    exact_max_nonincident,
+)
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
@@ -48,6 +54,8 @@ def milp_max_nonincident(d) -> int:
         pytest.param(lambda: build_sts(19, seed=1), 9, id="build_sts(19,1)"),
         pytest.param(lambda: embed_subsystem(9, 21, seed=0).design, 12,
                      id="embed_subsystem(9,21,0)"),
+        # A family order without a sub-STS(9): one below the ceiling of 12.
+        pytest.param(lambda: bose(21), 11, id="bose(21)"),
     ],
 )
 def test_exact_search_matches_milp(make, expected):

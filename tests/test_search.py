@@ -11,10 +11,18 @@ from nonincidence import (
     doubling,
     embed_subsystem,
     exact_max_nonincident,
+    find_subsystem,
     greedy_max_nonincident,
+    is_subsystem,
     nonincidence_upper_bound,
     verify_certificate,
 )
+
+
+def relabel(d, seed):
+    perm = list(range(d.v))
+    random.Random(seed).shuffle(perm)
+    return Design.from_blocks(d.v, [[perm[p] for p in blk] for blk in d.blocks])
 
 
 class TestExactSearch:
@@ -105,6 +113,67 @@ class TestExactSearch:
                 continue
             rep = exact_max_nonincident(d)
             assert rep.exact and rep.best_s == want
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_family_order_proved_by_subsystem(self, seed):
+        # v=91 is a family order with ceiling 70 = v - 21: the relabelled
+        # sub-STS(21) is found and its complement proves 70 without a node.
+        d = relabel(embed_subsystem(21, 91, seed=seed).design, seed)
+        rep = exact_max_nonincident(d, node_budget=0)
+        assert rep.best_s == rep.bound_used == 70
+        assert rep.exact and rep.nodes_visited == 0
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+
+def _has_subsystem(d, w):
+    return any(is_subsystem(d, pts)[0] for pts in combinations(range(d.v), w))
+
+
+class TestFindSubsystem:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_sts(7),
+            lambda: bose(9),
+            lambda: build_sts(13, seed=11),
+            lambda: bose(15),
+            lambda: doubling(build_sts(7))[0],
+            lambda: embed_subsystem(7, 15, seed=0).design,
+        ],
+        ids=["sts7", "bose9", "sts13", "bose15", "doubling7", "embed7_15"],
+    )
+    def test_agrees_with_subset_check(self, make):
+        # Whole designs and random block subsets (partial, lam = 1).
+        sts = make()
+        rng = random.Random(sts.v)
+        designs = [sts] + [
+            Design.from_blocks(sts.v, rng.sample(sts.blocks, k))
+            for k in (rng.randrange(sts.b), sts.b - 1, sts.b - 3)
+        ]
+        for d in designs:
+            for w in (3, 7):
+                got = find_subsystem(d, w)
+                assert (got is not None) == _has_subsystem(d, w)
+                if got is not None:
+                    assert len(got) == w and is_subsystem(d, got)[0]
+
+    @pytest.mark.parametrize("w,v", [(9, 21), (13, 39), (21, 91)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finds_relabelled_embedding(self, w, v, seed):
+        d = relabel(embed_subsystem(w, v, seed=seed).design, 100 + seed)
+        got = find_subsystem(d, w)
+        assert got is not None and len(got) == w
+        assert is_subsystem(d, got)[0]
+
+    def test_bose39_has_no_sub13(self):
+        assert find_subsystem(bose(39), 13) is None
+
+    def test_trivial_orders(self, fano):
+        assert find_subsystem(fano, 1) == (0,)
+        assert find_subsystem(fano, 7) == tuple(range(7))
+        assert find_subsystem(Design.from_blocks(7, fano.blocks[:6]), 7) is None
+        assert find_subsystem(fano, 9) is None
+        assert find_subsystem(Design.from_blocks(7, []), 3) is None
 
 
 class TestGreedy:
