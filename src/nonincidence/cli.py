@@ -80,7 +80,7 @@ def cmd_construct(args) -> int:
     except cons.BudgetExhausted as exc:
         print(f"error: {exc} (retry with another seed)", file=sys.stderr)
         return EXIT_BUDGET
-    Path(args.out).write_text(design.to_json())
+    Path(args.out).write_text(design.canonical_json())
     log.info("wrote design order %d to %s", v, args.out)
     if cert is not None:
         cert_path = args.cert_out or _default_cert_path(args.out)

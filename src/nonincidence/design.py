@@ -88,9 +88,6 @@ class Design:
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def to_json(self) -> str:
-        return self.canonical_json()
-
     @classmethod
     def from_json(cls, text: str) -> "Design":
         data = json.loads(text)
@@ -246,6 +243,10 @@ class NonincidenceCertificate:
 
     @classmethod
     def build(cls, d: Design, Y, C, meta=None) -> "NonincidenceCertificate":
+        """Certificate for d; DesignError on a malformed Y or C entry."""
+        Y, C = tuple(Y), tuple(C)
+        _check_entries(Y, d.v, "point")
+        _check_entries(C, d.b, "block index")
         return cls(
             v=d.v,
             Y=tuple(sorted(Y)),

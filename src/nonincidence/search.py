@@ -8,13 +8,24 @@ So the search maximizes min(|Y|, t(Y)), where t(Y) counts the live blocks
 The exact search is one branch-and-bound.  Its incumbent starts from the
 greedy heuristic.  At each node every candidate's live degree is computed
 once, and children go in ascending degree order with t - degree as their
-t.  Counting bound: two points share at most lam blocks (the design's
-largest pair multiplicity, 1 for an STS), so adding j candidates kills at
-least S_j - lam*C(j,2) live blocks, S_j being the sum of the j smallest
-live degrees; a node is pruned unless some j >= best-|Y|+1 has
-t - S_j + lam*C(j,2) > best.  Ceiling stop: when lam <= 1 no design beats
-nonincidence_upper_bound(v), so an incumbent meeting it is a proved
-maximum and the search stops there with exact=True.
+t.  Ceiling stop: when lam <= 1 no design beats nonincidence_upper_bound(v),
+so an incumbent meeting it is a proved maximum and the search stops there
+with exact=True.
+
+Counting bound, tested at one size.  A node with points Y can beat best
+only by adding need = best - |Y| + 1 or more candidates.  Adding points
+never raises t, so if some larger set beats best, so does each of its
+subsets of need points: testing j = need alone is enough.  For such a
+set J let n_k count the live blocks meeting J in k points, S the sum of
+the degrees of J and lam the design's largest pair multiplicity (1 for
+an STS).  Blocks are triples, so S = n1 + 2*n2 + 3*n3.  A block meeting
+J in k points holds C(k, 2) pairs of J and each pair lies on at most
+lam blocks, so n2 + 3*n3 <= Q = lam*C(need, 2).  Each of S - Q,
+(2S - Q)/3 and S/3, rounded up, is then at most n1 + n2 + n3, the live
+blocks J kills, and their maximum K (see kill_bound) is the optimum of
+that linear program.  K never decreases as S grows, so S may be the sum
+of the need smallest live degrees, and the node is pruned when
+t - K <= best.
 
 Subsystem decision: at an equality-family order with lam <= 1 the ceiling
 s is reached iff the design has a sub-STS(w), w = v - s (see
@@ -35,7 +46,6 @@ from .bounds import classify_equality_order, nonincidence_upper_bound
 from .design import Design, NonincidenceCertificate, _bits
 
 DEFAULT_NODE_BUDGET = 100_000_000
-BRUTE_FORCE_MAX_V = 15
 
 
 @dataclass
@@ -64,6 +74,16 @@ class SearchReport:
             indent=2,
             sort_keys=True,
         )
+
+
+def kill_bound(s: int, q: int) -> int:
+    """Fewest live blocks that a set of candidates is sure to kill.
+
+    s is the sum of their live degrees and q bounds the pairs inside the
+    set, counted over the live blocks they lie on (lam * C(j, 2) for j
+    candidates); see the module docstring for why each term is sound.
+    """
+    return max(s - q, (2 * s - q + 2) // 3, (s + 2) // 3)
 
 
 def _make_certificate(d: Design, Y, disjoint_mask: int, s: int, meta):
@@ -113,12 +133,8 @@ class _BranchAndBound:
             return
         inc, shift, low, lam = self.inc, self.shift, self.low, self.lam
         keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
-        s = 0  # counting bound: some j >= need must still beat best
-        for j, k in enumerate(keys, 1):
-            s += k >> shift
-            if j >= need and t - s + lam * (j * (j - 1) >> 1) > best:
-                break
-        else:
+        s = sum([k >> shift for k in keys[:need]])
+        if t - kill_bound(s, lam * (need * (need - 1) >> 1)) <= best:
             return
         pts = [k & low for k in keys]
         for i, k in enumerate(keys):
@@ -290,26 +306,3 @@ def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
         if found is not None:
             return tuple(sorted(found))
     return None
-
-
-def brute_force_oracle(d: Design) -> int:
-    """Max of min(|Y|, t(Y)) by enumerating every point subset.
-
-    Independent of the branch-and-bound path; intended for tests only,
-    hence the hard cap on v.
-    """
-    if d.v > BRUTE_FORCE_MAX_V:
-        raise ValueError(f"brute force refuses v={d.v} > {BRUTE_FORCE_MAX_V}")
-    b = d.b
-    inc = d.point_incidence
-    n = 1 << d.v
-    covered = [0] * n
-    best = 0
-    for m in range(1, n):
-        low = m & -m
-        covered[m] = covered[m ^ low] | inc[low.bit_length() - 1]
-        t = b - covered[m].bit_count()
-        val = min(m.bit_count(), t)
-        if val > best:
-            best = val
-    return best

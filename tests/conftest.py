@@ -32,3 +32,29 @@ def naive_disjoint_count(design, points):
     """Disjoint-block oracle by plain tuple scanning, no bitmasks."""
     pts = set(points)
     return sum(1 for blk in design.blocks if not pts & set(blk))
+
+
+BRUTE_FORCE_MAX_V = 15
+
+
+def brute_force_oracle(d) -> int:
+    """Max of min(|Y|, t(Y)) by enumerating every point subset.
+
+    Independent of the branch-and-bound search; it visits all 2^v subsets,
+    hence the hard cap on v.
+    """
+    if d.v > BRUTE_FORCE_MAX_V:
+        raise ValueError(f"brute force refuses v={d.v} > {BRUTE_FORCE_MAX_V}")
+    b = d.b
+    inc = d.point_incidence
+    n = 1 << d.v
+    covered = [0] * n
+    best = 0
+    for m in range(1, n):
+        low = m & -m
+        covered[m] = covered[m ^ low] | inc[low.bit_length() - 1]
+        t = b - covered[m].bit_count()
+        val = min(m.bit_count(), t)
+        if val > best:
+            best = val
+    return best

@@ -11,7 +11,6 @@ import pytest
 
 from nonincidence import (
     bose,
-    brute_force_oracle,
     build_sts,
     coverage_profile,
     disjoint_block_bound,
@@ -30,6 +29,7 @@ from nonincidence import (
     verify_certificate,
     BudgetExhausted,
 )
+from conftest import brute_force_oracle
 
 
 def _timed(limit):

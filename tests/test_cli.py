@@ -237,7 +237,7 @@ class TestVerifyRejectsMalformed:
     def test_inadmissible_order_reports_without_bounds(self, tmp_path, capsys):
         design = tmp_path / "d8.json"
         d = Design.from_blocks(8, [(0, 1, 2), (3, 4, 5)])
-        design.write_text(d.to_json())
+        design.write_text(d.canonical_json())
         rc = self._verify(tmp_path, design, self._claim(d, [0], [1]))
         assert rc == EXIT_OK
         assert "square-bound=None" in capsys.readouterr().out
@@ -249,7 +249,7 @@ def test_construct_search_verify_round_trip(tmp_path):
     run("construct", "--order", "13", "--seed", "3", "--out", str(design))
     # Serialization is idempotent.
     text = design.read_text()
-    assert Design.from_json(text).to_json() == text
+    assert Design.from_json(text).canonical_json() == text
     assert run("search", "--design", str(design),
                "--out", str(report)) == EXIT_OK
     data = json.loads(report.read_text())

@@ -22,6 +22,16 @@ from nonincidence import (
 )
 from conftest import AG23_BLOCKS, FANO_BLOCKS, naive_disjoint_count
 
+MALFORMED_ENTRIES = [
+    ((4, 4), (0, 1)),       # repeated point
+    ((4,), (0, 0)),         # repeated block
+    ((4, 5.0), (0,)),       # non-integer point
+    ((4, True), (0,)),      # bool is not a point label
+    ((4,), ("1",)),         # non-integer block index
+    ((4, 9), (0,)),         # point out of range
+    ((4,), (12,)),          # block index out of range
+]
+
 
 class TestValidate:
     def test_fano_passes(self, fano):
@@ -168,21 +178,20 @@ class TestCertificates:
         again = NonincidenceCertificate.from_json(cert.to_json())
         assert again == cert
 
-    @pytest.mark.parametrize("Y,C", [
-        ((4, 4), (0, 1)),       # repeated point
-        ((4,), (0, 0)),         # repeated block
-        ((4, 5.0), (0,)),       # non-integer point
-        ((4, True), (0,)),      # bool is not a point label
-        ((4,), ("1",)),         # non-integer block index
-        ((4, 9), (0,)),         # point out of range
-        ((4,), (12,)),          # block index out of range
-    ])
+    @pytest.mark.parametrize("Y,C", MALFORMED_ENTRIES)
     def test_malformed_entries_rejected(self, ag23, Y, C):
         cert = NonincidenceCertificate(
             v=9, Y=Y, C=C, design_digest=ag23.digest()
         )
         with pytest.raises(DesignError):
             verify_certificate(ag23, cert)
+
+    @pytest.mark.parametrize("Y,C", MALFORMED_ENTRIES + [
+        ((0,) * 5, (1,) * 5),   # the forged s=5 claim on bose(9)
+    ])
+    def test_build_rejects_malformed_entries(self, ag23, Y, C):
+        with pytest.raises(DesignError):
+            NonincidenceCertificate.build(ag23, Y, C)
 
     def test_missing_key_is_design_error(self, ag23):
         data = json.loads(NonincidenceCertificate.build(ag23, [0], [1]).to_json())
@@ -237,8 +246,8 @@ class TestMaximalArc:
 
 
 def test_canonical_serialization_round_trip(ag23):
-    text = ag23.to_json()
+    text = ag23.canonical_json()
     again = Design.from_json(text)
     assert again == ag23
-    assert again.to_json() == text
+    assert again.canonical_json() == text
     assert again.digest() == ag23.digest()

@@ -56,6 +56,11 @@ def milp_max_nonincident(d) -> int:
                      id="embed_subsystem(9,21,0)"),
         # A family order without a sub-STS(9): one below the ceiling of 12.
         pytest.param(lambda: bose(21), 11, id="bose(21)"),
+        # The two ladder designs whose search the counting bound prunes most.
+        pytest.param(lambda: build_sts(25, seed=1), 13, id="build_sts(25,1)",
+                     marks=pytest.mark.slow),
+        pytest.param(lambda: build_sts(27, seed=1), 15, id="build_sts(27,1)",
+                     marks=pytest.mark.slow),
     ],
 )
 def test_exact_search_matches_milp(make, expected):

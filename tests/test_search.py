@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from nonincidence import (
     Design,
     bose,
-    brute_force_oracle,
     build_sts,
     doubling,
     embed_subsystem,
@@ -17,6 +17,8 @@ from nonincidence import (
     nonincidence_upper_bound,
     verify_certificate,
 )
+from nonincidence.search import kill_bound
+from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle
 
 
 def relabel(d, seed):
@@ -73,6 +75,18 @@ class TestExactSearch:
         assert rep.nodes_visited <= 1_750_000
         assert verify_certificate(d, rep.certificate, require_square=True)
 
+    @pytest.mark.parametrize("v,best,budget", [(25, 13, 250_000),
+                                                (27, 15, 300_000)])
+    def test_ladder_pruning_strength(self, v, best, budget):
+        # Each budget is below the 364,901 and 899,661 nodes that the weaker
+        # Bonferroni bound S_j - lam*C(j,2) needs, so only a bound at least
+        # as strong as the triple-counting one passes.
+        d = build_sts(v, seed=1)
+        rep = exact_max_nonincident(d, node_budget=budget)
+        assert rep.exact
+        assert rep.best_s == best
+        assert rep.nodes_visited <= budget
+
     def test_ceiling_stop_is_exact(self, fano):
         # Greedy already meets the Fano ceiling of 2: no node is needed,
         # so even a zero budget proves the maximum.
@@ -123,6 +137,77 @@ class TestExactSearch:
         assert rep.best_s == rep.bound_used == 70
         assert rep.exact and rep.nodes_visited == 0
         assert verify_certificate(d, rep.certificate, require_square=True)
+
+
+def _lam(d):
+    pairs = Counter(pr for blk in d.blocks for pr in combinations(blk, 2))
+    return max(pairs.values(), default=0)
+
+
+class TestKillBound:
+    def test_is_the_counting_optimum(self):
+        # Fewest blocks n1 + n2 + n3 with n1 + 2*n2 + 3*n3 = s and
+        # n2 + 3*n3 <= q, by enumeration.
+        for s in range(40):
+            for q in range(40):
+                want = min(
+                    s - n2 - 2 * n3
+                    for n3 in range(s // 3 + 1)
+                    for n2 in range((s - 3 * n3) // 2 + 1)
+                    if n2 + 3 * n3 <= q
+                )
+                assert kill_bound(s, q) == want, (s, q)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: Design.from_blocks(7, FANO_BLOCKS),
+            lambda rng: Design.from_blocks(9, AG23_BLOCKS),
+            lambda rng: build_sts(13, seed=11),
+            lambda rng: bose(15),
+            lambda rng: Design.from_blocks(
+                13, rng.sample(build_sts(13, seed=3).blocks, 15)),
+            lambda rng: Design.from_blocks(
+                15, rng.sample(bose(15).blocks, 20)),
+            lambda rng: Design.from_blocks(
+                9, rng.sample(list(combinations(range(9), 3)), 30)),
+            lambda rng: Design.from_blocks(
+                12, rng.sample(list(combinations(range(12), 3)), 40)),
+        ],
+        ids=["fano", "ag23", "sts13", "bose15", "sts13_subset",
+             "bose15_subset", "triples9", "triples12"],
+    )
+    def test_every_candidate_set_kills_at_least_k(self, make):
+        # For random Y, every set J of j candidates kills at least
+        # K(S, lam*C(j,2)) live blocks, both with S the degree sum of J and
+        # with S_j, the sum of the j smallest live degrees the search uses.
+        rng = random.Random(4)
+        d = make(rng)
+        lam = _lam(d)
+        inc = d.point_incidence
+        for trial in range(3):
+            Y = rng.sample(range(d.v), trial)
+            mask = d.all_blocks_mask()
+            for p in Y:
+                mask &= ~inc[p]
+            cands = [p for p in range(d.v) if p not in Y]
+            live = [inc[p] & mask for p in cands]
+            deg = [m.bit_count() for m in live]
+            smallest = [0]
+            for x in sorted(deg):
+                smallest.append(smallest[-1] + x)
+            killed = [0] * (1 << len(cands))
+            degree_sum = [0] * (1 << len(cands))
+            for J in range(1, 1 << len(cands)):
+                low = J & -J
+                i = low.bit_length() - 1
+                killed[J] = killed[J ^ low] | live[i]
+                degree_sum[J] = degree_sum[J ^ low] + deg[i]
+                j = J.bit_count()
+                q = lam * (j * (j - 1) // 2)
+                got = killed[J].bit_count()
+                assert got >= kill_bound(degree_sum[J], q)
+                assert got >= kill_bound(smallest[j], q)
 
 
 def _has_subsystem(d, w):
