@@ -37,19 +37,11 @@ def disjoint_block_bound(v: int, s: int) -> int:
 def nonincidence_upper_bound(v: int) -> int:
     """Largest s admitting s points and s mutually nonincident blocks.
 
-    This is floor((2v+5 - sqrt(24v+25)) / 2), computed by integer square
-    root and comparison-by-squaring only.
+    This is floor((2v+5 - sqrt(24v+25)) / 2): the largest s with
+    2v+5-2s >= ceil(sqrt(24v+25)) = isqrt(24v+24) + 1.
     """
     _check_admissible(v)
-    disc = 24 * v + 25
-    t = isqrt(disc)
-    a = 2 * v + 5
-    s = (a - t) // 2
-    while s > 0 and (a - 2 * s) ** 2 < disc:
-        s -= 1
-    while a - 2 * (s + 1) >= 0 and (a - 2 * (s + 1)) ** 2 >= disc:
-        s += 1
-    return s
+    return (2 * v + 4 - isqrt(24 * v + 24)) // 2
 
 
 def subsystem_complement_count(v: int, w: int) -> int:
@@ -97,17 +89,6 @@ class EqualityFamilyRecord:
     t: int
     u: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "z": self.z,
-            "v": self.v,
-            "s": self.s,
-            "w": self.w,
-            "t": self.t,
-            "u": self.u,
-        }
-
 
 def _record(family: int, z: int) -> EqualityFamilyRecord:
     base, sign = _FAMILIES[family]
@@ -135,37 +116,28 @@ def enumerate_equality_orders(z_max: int) -> list[EqualityFamilyRecord]:
 
 
 def classify_equality_order(v: int) -> EqualityFamilyRecord | None:
-    """The family record for v, or None when equality is impossible there."""
+    """The family record for v, or None when equality is impossible there.
+
+    Inverts _record.  When 24v+25 = t^2, t is prime to 6, so t = 6u+1 or
+    t = 6u-1.  Then s = v - (t-5)/2 and w = v - s = (t-5)/2 give
+    t = 6u+1: w = 3u-2, v = (3u-2)(u+1)/2;
+    t = 6u-1: w = 3u-3, v = (3u+2)(u-1)/2.
+    Both v and w are admissible orders (1 or 3 mod 6) exactly when
+    u = 1, 5 (mod 12) for the first sign and u = 4, 8 (mod 12) for the
+    second, the four keys of _FAMILIES; at those residues v >= 2w+1, or
+    v = w = 1.  So the lookup below misses exactly where equality is
+    impossible, and _record's assertions restate the conditions.
+    """
     if v < 1 or v % 6 not in (1, 3):
         return None
-    disc = 24 * v + 25
-    t = isqrt(disc)
-    if t * t != disc:
+    t = isqrt(24 * v + 25)
+    if t * t != 24 * v + 25:
         return None
-    s = (2 * v + 5 - t) // 2
-    w = v - s
-    if s < 0 or w % 6 not in (1, 3):
-        return None
-    if not (v >= 2 * w + 1 or v == w):
-        return None
-    if t % 6 == 1:
-        u = (t - 1) // 6
-        if u % 12 == 1:
-            family = 1
-        elif u % 12 == 5:
-            family = 2
-        else:
-            return None
-    else:
-        u = (t + 1) // 6
-        if u % 12 == 4:
-            family = 3
-        elif u % 12 == 8:
-            family = 4
-        else:
-            return None
-    base, _ = _FAMILIES[family]
-    return _record(family, (u - base) // 12)
+    sign = 1 if t % 6 == 1 else -1
+    u = (t - sign) // 6
+    family = next((f for f, key in _FAMILIES.items() if key == (u % 12, sign)),
+                  None)
+    return None if family is None else _record(family, u // 12)
 
 
 @dataclass(frozen=True)

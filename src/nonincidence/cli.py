@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bounds as bnd
@@ -109,10 +110,10 @@ def cmd_families(args) -> int:
         if rec is None:
             print("none")
         else:
-            print(json.dumps(rec.to_json_obj(), sort_keys=True))
+            print(json.dumps(asdict(rec), sort_keys=True))
         return EXIT_OK
     for rec in bnd.enumerate_equality_orders(args.zmax):
-        print(json.dumps(rec.to_json_obj(), sort_keys=True))
+        print(json.dumps(asdict(rec), sort_keys=True))
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 DIGEST_ALGORITHM = "sha256"
@@ -256,24 +256,20 @@ class NonincidenceCertificate:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "v": self.v,
-                "design_digest": self.design_digest,
-                "digest_algorithm": self.digest_algorithm,
-                "Y": list(self.Y),
-                "C": list(self.C),
-                "meta": self.meta,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NonincidenceCertificate":
+        """Certificate from its JSON form.
+
+        Raises DesignError on a missing key, a non-integer order, or a
+        non-integer, bool, out-of-range or repeated entry of Y or C.  Block
+        indices are only checked to be non-negative here; their upper end
+        is checked by certificate_violations, which knows the design.
+        """
         data = json.loads(text)
         try:
-            return cls(
+            cert = cls(
                 v=data["v"],
                 Y=tuple(data["Y"]),
                 C=tuple(data["C"]),
@@ -283,14 +279,25 @@ class NonincidenceCertificate:
             )
         except (KeyError, TypeError) as exc:
             raise DesignError(f"malformed certificate file: {exc!r}") from exc
+        if not _is_int(cert.v):
+            raise DesignError(f"order {cert.v!r} is not an integer")
+        _check_entries(cert.Y, cert.v, "point")
+        _check_entries(cert.C, None, "block index")
+        return cert
 
 
-def _check_entries(values, n: int, what: str) -> None:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_entries(values, n: int | None, what: str) -> None:
+    """DesignError unless values are distinct ints in 0..n-1 (n=None: >= 0)."""
     for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise DesignError(f"{what} {x!r} is not an integer")
-        if not 0 <= x < n:
-            raise DesignError(f"{what} {x} outside 0..{n - 1}")
+        if x < 0 or n is not None and x >= n:
+            top = "" if n is None else n - 1
+            raise DesignError(f"{what} {x} outside 0..{top}")
     if len(set(values)) != len(values):
         raise DesignError(f"a {what} is listed twice")
 
@@ -313,10 +320,12 @@ def verify_certificate(
     """True iff no certified point lies on any certified block.
 
     Raises DigestMismatchError when the certificate was issued for a
-    different design, and DesignError when Y or C is malformed (see
-    certificate_violations); with require_square also demands |Y| = |C|.
+    different design or under another digest algorithm, and DesignError
+    when Y or C is malformed (see certificate_violations); with
+    require_square also demands |Y| = |C|.
     """
-    if cert.v != d.v or cert.design_digest != d.digest():
+    if (cert.v != d.v or cert.digest_algorithm != DIGEST_ALGORITHM
+            or cert.design_digest != d.digest()):
         raise DigestMismatchError(
             "certificate digest does not match the supplied design"
         )

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 
 from .bounds import classify_equality_order, nonincidence_upper_bound
@@ -56,24 +56,12 @@ class SearchReport:
     certificate: NonincidenceCertificate
     exact: bool
     nodes_visited: int
-    elapsed: float
+    elapsed_seconds: float
     bound_used: int
     method: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "best_s": self.best_s,
-                "exact": self.exact,
-                "nodes_visited": self.nodes_visited,
-                "elapsed_seconds": self.elapsed,
-                "bound_used": self.bound_used,
-                "method": self.method,
-                "certificate": json.loads(self.certificate.to_json()),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def kill_bound(s: int, q: int) -> int:
@@ -182,7 +170,7 @@ def exact_max_nonincident(
         certificate=cert,
         exact=exact,
         nodes_visited=bb.nodes,
-        elapsed=time.perf_counter() - start,
+        elapsed_seconds=time.perf_counter() - start,
         bound_used=bound,
         method="exact",
     )
@@ -230,7 +218,7 @@ def greedy_max_nonincident(d: Design, start=()) -> SearchReport:
         certificate=cert,
         exact=False,
         nodes_visited=len(Y),
-        elapsed=time.perf_counter() - t0,
+        elapsed_seconds=time.perf_counter() - t0,
         bound_used=bound,
         method="greedy",
     )

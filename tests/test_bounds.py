@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from nonincidence import (
@@ -107,6 +109,34 @@ class TestEqualityFamilies:
     @pytest.mark.parametrize("v", [7, 9, 13, 15, 19, 25, 33, 37])
     def test_classify_rejects_other_orders(self, v):
         assert classify_equality_order(v) is None
+
+    def test_classify_matches_paper_condition_to_1e6(self):
+        # Reference: the paper's equality condition written out directly.
+        # Equality needs 24v+25 = t^2, and then w = v - s must be an
+        # admissible order with room for a sub-STS(w) (v >= 2w+1 or v = w).
+        def paper_equality(v):
+            t = isqrt(24 * v + 25)
+            if t * t != 24 * v + 25:
+                return False
+            w = v - (2 * v + 5 - t) // 2
+            return w % 6 in (1, 3) and (v >= 2 * w + 1 or v == w)
+
+        hits = 0
+        for v in range(1, 1_000_000):
+            if v % 6 not in (1, 3):
+                continue
+            rec = classify_equality_order(v)
+            assert (rec is not None) == paper_equality(v), v
+            if rec is not None:
+                hits += 1
+                assert rec.v == v
+                assert rec.s == nonincidence_upper_bound(v)
+        assert hits > 4
+
+    def test_classify_inverts_far_records(self):
+        for r in enumerate_equality_orders(300):
+            assert classify_equality_order(r.v) == r
+            assert nonincidence_upper_bound(r.v) == r.s
 
     def test_classify_matches_enumeration(self):
         recs = enumerate_equality_orders(3)

@@ -91,6 +91,12 @@ class TestFamilies:
         rec = json.loads(capsys.readouterr().out)
         assert rec["family"] == 4 and rec["z"] == 0
 
+    def test_classify_exact_output(self, capsys):
+        assert run("families", "--classify", "91") == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{"family": 4, "s": 70, "t": 47, "u": 8, "v": 91, "w": 21, "z": 0}\n'
+        )
+
     def test_classify_miss(self, capsys):
         assert run("families", "--classify", "15") == EXIT_OK
         assert capsys.readouterr().out.strip() == "none"
@@ -129,6 +135,22 @@ class TestSearch:
         data = json.loads(report.read_text())
         assert data["exact"] is True and data["best_s"] == 26
         assert "nodes=0" in capsys.readouterr().out
+
+    def test_report_and_certificate_keys(self, tmp_path):
+        design = tmp_path / "d21.json"
+        report = tmp_path / "rep.json"
+        run("construct", "--order", "21", "--sub", "9", "--seed", "1",
+            "--out", str(design))
+        assert run("search", "--design", str(design),
+                   "--out", str(report)) == EXIT_OK
+        data = json.loads(report.read_text())
+        assert set(data) == {"best_s", "bound_used", "certificate",
+                             "elapsed_seconds", "exact", "method",
+                             "nodes_visited"}
+        cert_keys = {"C", "Y", "design_digest", "digest_algorithm", "meta", "v"}
+        assert set(data["certificate"]) == cert_keys
+        written = json.loads((tmp_path / "d21.cert.json").read_text())
+        assert set(written) == cert_keys
 
     def test_corrupt_design_rejected(self, tmp_path, capsys):
         design = tmp_path / "bad.json"
@@ -215,6 +237,17 @@ class TestVerifyRejectsMalformed:
         out = capsys.readouterr()
         assert "OK" not in out.out
         assert "listed twice" in out.err
+
+    def test_other_digest_algorithm_is_digest_error(self, bose9, tmp_path, capsys):
+        # A sha256 digest labelled as md5 must not verify.
+        design, d = bose9
+        data = self._claim(d, [0], [next(i for i, blk in enumerate(d.blocks)
+                                         if 0 not in blk)])
+        data["digest_algorithm"] = "md5"
+        rc = self._verify(tmp_path, design, data)
+        assert rc == EXIT_DIGEST
+        out = capsys.readouterr()
+        assert "OK" not in out.out and out.err.startswith("error:")
 
     def test_out_of_range_block_index_fails(self, bose9, tmp_path, capsys):
         design, d = bose9

@@ -193,6 +193,32 @@ class TestCertificates:
         with pytest.raises(DesignError):
             NonincidenceCertificate.build(ag23, Y, C)
 
+    # Block index 12 is left out: only the design knows it has 12 blocks.
+    @pytest.mark.parametrize("Y,C", [
+        e for e in MALFORMED_ENTRIES if e != ((4,), (12,))
+    ] + [
+        ((0,) * 5, (1,) * 5),   # the forged s=5 claim on bose(9)
+        ((-1,), (0,)),          # negative point
+        ((4,), (-1,)),          # negative block index
+        ((4,), (False,)),       # bool is not a block index
+    ])
+    def test_from_json_rejects_malformed_entries(self, ag23, Y, C):
+        data = {"v": 9, "design_digest": ag23.digest(), "Y": Y, "C": C}
+        with pytest.raises(DesignError):
+            NonincidenceCertificate.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("v", ["9", 9.0, True, None])
+    def test_from_json_rejects_non_integer_order(self, ag23, v):
+        data = {"v": v, "design_digest": ag23.digest(), "Y": [4], "C": [0]}
+        with pytest.raises(DesignError):
+            NonincidenceCertificate.from_json(json.dumps(data))
+
+    def test_from_json_leaves_block_range_to_verify(self, ag23):
+        data = {"v": 9, "design_digest": ag23.digest(), "Y": [4], "C": [99]}
+        cert = NonincidenceCertificate.from_json(json.dumps(data))
+        with pytest.raises(DesignError):
+            verify_certificate(ag23, cert)
+
     def test_missing_key_is_design_error(self, ag23):
         data = json.loads(NonincidenceCertificate.build(ag23, [0], [1]).to_json())
         del data["Y"]
