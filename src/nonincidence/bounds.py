@@ -16,22 +16,17 @@ def _check_admissible(v: int) -> None:
         raise ValueError(f"order {v} is not a positive integer 1 or 3 mod 6")
 
 
-def disjoint_block_bound_divmod(v: int, s: int) -> tuple[int, int]:
-    """Floor and remainder of (v(v-1) + s^2 - s(2v-1)) / 6.
+def disjoint_block_bound(v: int, s: int) -> int:
+    """Max number of blocks disjoint from any s-point set in an STS(v).
 
-    The numerator is not always divisible by 6 (e.g. v=9, s=1) and goes
-    negative for large s; Python floor division handles both exactly.
+    This is floor((v(v-1) + s^2 - s(2v-1)) / 6).  The numerator is not
+    always divisible by 6 (e.g. v=9, s=1) and goes negative for large s;
+    Python floor division handles both exactly.
     """
     _check_admissible(v)
     if not 0 <= s <= v:
         raise ValueError(f"point-set size {s} outside 0..{v}")
-    num = v * (v - 1) + s * s - s * (2 * v - 1)
-    return divmod(num, 6)
-
-
-def disjoint_block_bound(v: int, s: int) -> int:
-    """Max number of blocks disjoint from any s-point set in an STS(v)."""
-    return disjoint_block_bound_divmod(v, s)[0]
+    return (v * (v - 1) + s * s - s * (2 * v - 1)) // 6
 
 
 def nonincidence_upper_bound(v: int) -> int:
@@ -42,23 +37,6 @@ def nonincidence_upper_bound(v: int) -> int:
     """
     _check_admissible(v)
     return (2 * v + 4 - isqrt(24 * v + 24)) // 2
-
-
-def subsystem_complement_count(v: int, w: int) -> int:
-    """Blocks disjoint from the complement of a sub-STS(w) in an STS(v).
-
-    Always equals w(w-1)/6, the block count of the subsystem itself;
-    the identity is asserted since a failure would mean an arithmetic bug.
-    """
-    if not (v >= 2 * w + 1 or v == w):
-        raise ValueError(f"no proper sub-STS({w}) fits in an STS({v})")
-    got = disjoint_block_bound(v, v - w)
-    expect = w * (w - 1) // 6
-    if got != expect:
-        raise AssertionError(
-            f"complement count {got} != subsystem block count {expect}"
-        )
-    return got
 
 
 # Family key: (u as a function of z, sign in t = 6u +/- 1).
@@ -144,15 +122,12 @@ def classify_equality_order(v: int) -> EqualityFamilyRecord | None:
 class CurveData:
     """Tabulated disjoint-block bound versus the diagonal for one order.
 
-    rows are (s, bound, s) for s = 0..v.  When 24v+25 is a perfect
-    square the two curves cross at the integer point (crossing, crossing);
-    otherwise the crossing lies strictly inside crossing_bracket.
+    rows are (s, bound, s) for s = 0..v; the bound stays on or above the
+    diagonal up to s = nonincidence_upper_bound(v) and falls below after.
     """
 
     v: int
     rows: tuple[tuple[int, int, int], ...]
-    crossing: int | None
-    crossing_bracket: tuple[int, int]
 
     def to_csv(self) -> str:
         lines = ["s,bound,diagonal"]
@@ -165,12 +140,4 @@ def intersection_curve_data(v: int) -> CurveData:
     rows = tuple(
         (s, disjoint_block_bound(v, s), s) for s in range(v + 1)
     )
-    s_max = nonincidence_upper_bound(v)
-    disc = 24 * v + 25
-    exact = isqrt(disc) ** 2 == disc
-    return CurveData(
-        v=v,
-        rows=rows,
-        crossing=s_max if exact else None,
-        crossing_bracket=(s_max, s_max + 1),
-    )
+    return CurveData(v=v, rows=rows)

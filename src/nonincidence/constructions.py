@@ -20,16 +20,8 @@ class BudgetExhausted(RuntimeError):
     """Hill-climbing ran out of moves; retryable with another seed."""
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """A partition of K_n's edges into n-1 perfect matchings."""
-
-    n: int
-    factors: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def one_factorization(n: int) -> OneFactorization:
-    """Circle-method one-factorization of the complete graph on n vertices.
+def one_factorization(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Circle-method partition of K_n's edges into n-1 perfect matchings.
 
     Vertex n-1 sits at the center; vertices 0..n-2 rotate.  Deterministic.
     """
@@ -44,7 +36,7 @@ def one_factorization(n: int) -> OneFactorization:
             b = (k - i) % m
             pairs.append(tuple(sorted((a, b))))
         factors.append(tuple(sorted(pairs)))
-    return OneFactorization(n=n, factors=tuple(factors))
+    return tuple(factors)
 
 
 def bose(v: int) -> Design:
@@ -76,10 +68,10 @@ def doubling(sub: Design) -> tuple[Design, tuple[int, ...]]:
     if not validate_design(sub).ok:
         raise ValueError(f"doubling input is not a valid STS({sub.v})")
     w = sub.v
-    fact = one_factorization(w + 1)
+    factors = one_factorization(w + 1)
     blocks = list(sub.blocks)
     for x in range(w):
-        for a, b in fact.factors[x]:
+        for a, b in factors[x]:
             blocks.append((x, w + a, w + b))
     arc = tuple(range(w, 2 * w + 1))
     return Design.from_blocks(2 * w + 1, blocks), arc

@@ -30,9 +30,10 @@ class Design:
     """An incidence structure with v points and blocks of size 3.
 
     Immutable after construction; all operations on it are pure.  The
-    constructor only enforces shape (3 distinct in-range points per
-    block, no duplicate blocks); STS validity is checked separately by
-    :func:`validate_design` so that broken candidates can be inspected.
+    constructor only enforces shape (3 distinct in-range int points per
+    block, bool excluded, no duplicate blocks); STS validity is checked
+    separately by :func:`validate_design` so that broken candidates can
+    be inspected.
     """
 
     v: int
@@ -42,13 +43,16 @@ class Design:
 
     @classmethod
     def from_blocks(cls, v: int, blocks) -> "Design":
-        if v < 1:
-            raise DesignError(f"point count must be positive, got {v}")
+        if not _is_int(v) or v < 1:
+            raise DesignError(f"point count {v!r} is not a positive integer")
         canon = []
         for blk in blocks:
-            pts = tuple(sorted(blk))
+            pts = tuple(blk)
             if len(pts) != 3 or len(set(pts)) != 3:
                 raise DesignError(f"block {blk!r} is not a 3-set")
+            if not type(pts[0]) is type(pts[1]) is type(pts[2]) is int:
+                raise DesignError(f"block {blk!r} has a point that is not an integer")
+            pts = tuple(sorted(pts))
             if pts[0] < 0 or pts[2] >= v:
                 raise DesignError(f"block {blk!r} has a point outside 0..{v - 1}")
             canon.append(pts)

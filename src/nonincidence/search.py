@@ -5,45 +5,47 @@ size s has at least s disjoint blocks, which can then be picked freely.
 So the search maximizes min(|Y|, t(Y)), where t(Y) counts the live blocks
 (those avoiding Y); t is antitone under adding points.
 
+The exact search takes an STS or a partial one (a design in which no pair
+of points lies on two blocks, such as a block subset of an STS) and raises
+DesignError when a pair repeats.  Every rule below rests on that.
+
 The exact search is one branch-and-bound.  Its incumbent starts from the
 greedy heuristic.  At each node every candidate's live degree is computed
 once, and children go in ascending degree order with t - degree as their
-t.  Ceiling stop: when lam <= 1 no design beats nonincidence_upper_bound(v),
-so an incumbent meeting it is a proved maximum and the search stops there
-with exact=True.
+t.  Ceiling stop: no such design beats nonincidence_upper_bound(v), so an
+incumbent meeting it is a proved maximum and the search stops there with
+exact=True.
 
 Counting bound, tested at one size.  A node with points Y can beat best
 only by adding need = best - |Y| + 1 or more candidates.  Adding points
 never raises t, so if some larger set beats best, so does each of its
 subsets of need points: testing j = need alone is enough.  For such a
-set J let n_k count the live blocks meeting J in k points, S the sum of
-the degrees of J and lam the design's largest pair multiplicity (1 for
-an STS).  Blocks are triples, so S = n1 + 2*n2 + 3*n3.  A block meeting
-J in k points holds C(k, 2) pairs of J and each pair lies on at most
-lam blocks, so n2 + 3*n3 <= Q = lam*C(need, 2).  Each of S - Q,
+set J let n_k count the live blocks meeting J in k points and S the sum
+of the degrees of J.  Blocks are triples, so S = n1 + 2*n2 + 3*n3.  A
+block meeting J in k points holds C(k, 2) pairs of J and each pair lies
+on at most one block, so n2 + 3*n3 <= Q = C(need, 2).  Each of S - Q,
 (2S - Q)/3 and S/3, rounded up, is then at most n1 + n2 + n3, the live
 blocks J kills, and their maximum K (see kill_bound) is the optimum of
 that linear program.  K never decreases as S grows, so S may be the sum
 of the need smallest live degrees, and the node is pruned when
 t - K <= best.
 
-Subsystem decision: at an equality-family order with lam <= 1 the ceiling
-s is reached iff the design has a sub-STS(w), w = v - s (see
-find_subsystem).  So the search first looks for one.  If it exists, its
-complement is the warm start and meets the ceiling at once; if not, the
-search stops at s - 1, which is then a proved maximum.
+Subsystem decision: at an equality-family order the ceiling s is reached
+iff the design has a sub-STS(w), w = v - s (see find_subsystem).  So the
+search first looks for one.  If it exists, its complement with its
+interior blocks is the incumbent and meets the ceiling at once; if not,
+the search stops at s - 1, which is then a proved maximum.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 
 from .bounds import classify_equality_order, nonincidence_upper_bound
-from .design import Design, NonincidenceCertificate, _bits
+from .design import Design, DesignError, NonincidenceCertificate, _bits, is_subsystem
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -68,8 +70,9 @@ def kill_bound(s: int, q: int) -> int:
     """Fewest live blocks that a set of candidates is sure to kill.
 
     s is the sum of their live degrees and q bounds the pairs inside the
-    set, counted over the live blocks they lie on (lam * C(j, 2) for j
-    candidates); see the module docstring for why each term is sound.
+    set, counted over the live blocks they lie on (C(j, 2) for j
+    candidates when no pair repeats); see the module docstring for why
+    each term is sound.
     """
     return max(s - q, (2 * s - q + 2) // 3, (s + 2) // 3)
 
@@ -83,27 +86,27 @@ class _BranchAndBound:
     def __init__(self, d: Design, node_budget: int, bound: int):
         self.inc = d.point_incidence
         self.node_budget = node_budget
-        pairs = Counter(pair for blk in d.blocks for pair in combinations(blk, 2))
-        self.lam = max(pairs.values(), default=0)
-        # The square ceiling is a theorem only when no pair repeats.
-        self.stop_at = bound if self.lam <= 1 else d.v + 1
-        start = ()
-        family = classify_equality_order(d.v) if self.lam <= 1 else None
-        if family is not None:
-            sub = find_subsystem(d, family.w)
-            if sub is None:
-                self.stop_at = bound - 1
-            else:
-                start = sorted(set(range(d.v)).difference(sub))
+        pairs = [pair for blk in d.blocks for pair in combinations(blk, 2)]
+        if len(set(pairs)) != len(pairs):
+            raise DesignError("a pair of points lies on two blocks; exact "
+                              "search needs an STS or a block subset of one")
+        family = classify_equality_order(d.v)
+        sub = None if family is None else find_subsystem(d, family.w)
+        self.stop_at = bound - 1 if family and sub is None else bound
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
         self.low = (1 << self.shift) - 1
         self.nodes = 0
         self.truncated = False
-        warm = greedy_max_nonincident(d, start=start).certificate
-        self.best, self.best_Y = len(warm.Y), warm.Y
-        self.best_mask = sum(1 << i for i in warm.C)
+        if sub is None:
+            warm = greedy_max_nonincident(d).certificate
+            self.best_Y, C = warm.Y, warm.C
+        else:
+            self.best_Y = tuple(sorted(set(range(d.v)).difference(sub)))
+            C = is_subsystem(d, sub)[1]
+        self.best = min(len(self.best_Y), len(C))
+        self.best_mask = sum(1 << i for i in C)
         self.at_ceiling = self.best >= self.stop_at
 
     def _rec(self, cands, Y, mask, t):
@@ -119,10 +122,10 @@ class _BranchAndBound:
         need = best - y + 1
         if need > n or t <= best:
             return
-        inc, shift, low, lam = self.inc, self.shift, self.low, self.lam
+        inc, shift, low = self.inc, self.shift, self.low
         keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
         s = sum([k >> shift for k in keys[:need]])
-        if t - kill_bound(s, lam * (need * (need - 1) >> 1)) <= best:
+        if t - kill_bound(s, need * (need - 1) >> 1) <= best:
             return
         pts = [k & low for k in keys]
         for i, k in enumerate(keys):
@@ -150,7 +153,8 @@ def exact_max_nonincident(
 
     Deterministic: the same design and budget give the same certificate
     and node count.  Meeting the square ceiling ends the search early
-    with a proved maximum.
+    with a proved maximum.  Raises DesignError when a pair of points lies
+    on two blocks.
     """
     start = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
@@ -176,11 +180,10 @@ def exact_max_nonincident(
     )
 
 
-def greedy_max_nonincident(d: Design, start=()) -> SearchReport:
+def greedy_max_nonincident(d: Design) -> SearchReport:
     """Heuristic lower bound: always add the point killing fewest live blocks.
 
-    Ties break by point index, so the result is deterministic.  An optional
-    starting point set (e.g. a known subsystem complement) is consumed first.
+    Ties break by point index, so the result is deterministic.
     """
     t0 = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
@@ -191,22 +194,16 @@ def greedy_max_nonincident(d: Design, start=()) -> SearchReport:
     Y: list[int] = []
     taken: set[int] = set()
     best, best_Y, best_mask = 0, (), mask
-
-    def consume(p):
-        nonlocal mask, best, best_Y, best_mask
+    while len(Y) < d.v and mask:
+        key = min(((inc[q] & mask).bit_count() << shift) | q
+                  for q in range(d.v) if q not in taken)
+        p = key & low
         Y.append(p)
         taken.add(p)
         mask &= ~inc[p]
         value = min(len(Y), mask.bit_count())
         if value > best:
             best, best_Y, best_mask = value, tuple(Y), mask
-
-    for p in dict.fromkeys(start):
-        consume(p)
-    while len(Y) < d.v and mask:
-        key = min(((inc[q] & mask).bit_count() << shift) | q
-                  for q in range(d.v) if q not in taken)
-        consume(key & low)
     if best > bound:
         raise AssertionError(
             f"greedy found s={best} above the theoretical ceiling {bound}"
@@ -227,13 +224,13 @@ def greedy_max_nonincident(d: Design, start=()) -> SearchReport:
 def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
     """The sorted points of a sub-STS(w) of d, or None when d has none.
 
-    Sound and complete for designs in which no pair of points repeats
-    (lam <= 1); with repeated pairs the third-point table is ambiguous.
+    Sound and complete for designs in which no pair of points lies on two
+    blocks; with a repeated pair the third-point table is ambiguous.
 
     Why it decides the ceiling at a family order, where the ceiling is
     s = w(w-1)/6 with w = v - s: let Y reach s and let W be the points
     outside Y.  The blocks avoiding Y are exactly the blocks inside W, and
-    with lam <= 1 there are at most C(|W|,2)/3 of them.  Since |W| <= w,
+    since no pair repeats there are at most C(|W|,2)/3 of them.  Since |W| <= w,
     reaching s forces |W| = w and every pair of W covered by a block inside
     W: W is a sub-STS(w).  Conversely its complement reaches s.
 

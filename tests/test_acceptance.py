@@ -24,7 +24,6 @@ from nonincidence import (
     is_subsystem,
     nonincidence_upper_bound,
     subsystem_complement_certificate,
-    subsystem_complement_count,
     validate_design,
     verify_certificate,
     BudgetExhausted,
@@ -47,7 +46,7 @@ def test_criterion_1_bound_reproduction():
     done = _timed(1.0)
     assert nonincidence_upper_bound(39) == 26
     cd = intersection_curve_data(39)
-    assert cd.crossing == 26
+    assert max(s for s, bound, _ in cd.rows if bound >= s) == 26
     assert cd.rows[26] == (26, 26, 26)
     assert all(bound > s for s, bound, _ in cd.rows[:26])
     assert all(bound < s for s, bound, _ in cd.rows[27:])
@@ -167,7 +166,7 @@ def test_criterion_9_subsystem_equivalence_both_ways():
     # Converse: the complement of any family subsystem excludes exactly
     # the subsystem's own blocks.
     for rec in enumerate_equality_orders(3):
-        assert subsystem_complement_count(rec.v, rec.w) == rec.w * (rec.w - 1) // 6
+        assert disjoint_block_bound(rec.v, rec.v - rec.w) == rec.w * (rec.w - 1) // 6
     # Forward: an equality certificate forces a subsystem off Y.
     emb = embed_subsystem(9, 21, seed=2)
     cert = subsystem_complement_certificate(emb)

@@ -5,11 +5,9 @@ import pytest
 from nonincidence import (
     classify_equality_order,
     disjoint_block_bound,
-    disjoint_block_bound_divmod,
     enumerate_equality_orders,
     intersection_curve_data,
     nonincidence_upper_bound,
-    subsystem_complement_count,
 )
 
 
@@ -25,9 +23,10 @@ class TestDisjointBlockBound:
         assert disjoint_block_bound(9, 3) == 5  # brute force max is 3
 
     def test_remainder_exposed(self):
-        q, r = disjoint_block_bound_divmod(9, 1)
-        assert (q * 6 + r) == 9 * 8 + 1 - (2 * 9 - 1)
-        assert r != 0
+        # v=9, s=1: the numerator 56 is not a multiple of 6; it is floored.
+        num = 9 * 8 + 1 - (2 * 9 - 1)
+        assert num % 6 != 0
+        assert disjoint_block_bound(9, 1) == num // 6 == 9
 
     def test_vanishes_at_the_top(self):
         # Numerator factors as (s-v)(s-v+1): zero at s = v-1 and s = v.
@@ -67,15 +66,11 @@ class TestUpperBound:
 class TestComplementCount:
     @pytest.mark.parametrize("v,w,expect", [(21, 9, 12), (39, 13, 26), (91, 21, 70)])
     def test_family_orders(self, v, w, expect):
-        assert subsystem_complement_count(v, w) == expect
+        assert disjoint_block_bound(v, v - w) == w * (w - 1) // 6 == expect
 
     @pytest.mark.parametrize("w", [1, 3, 7, 9, 13, 21])
     def test_minimal_embedding_identity(self, w):
-        assert subsystem_complement_count(2 * w + 1, w) == w * (w - 1) // 6
-
-    def test_rejects_oversized_subsystem(self):
-        with pytest.raises(ValueError):
-            subsystem_complement_count(15, 9)
+        assert disjoint_block_bound(2 * w + 1, w + 1) == w * (w - 1) // 6
 
 
 class TestEqualityFamilies:
@@ -97,7 +92,7 @@ class TestEqualityFamilies:
             assert r.w == r.v - r.s
             assert r.v >= 2 * r.w + 1 or r.v == r.w
             assert nonincidence_upper_bound(r.v) == r.s
-            assert subsystem_complement_count(r.v, r.w) == r.s or r.v == 1
+            assert disjoint_block_bound(r.v, r.v - r.w) == r.w * (r.w - 1) // 6 == r.s
             assert disjoint_block_bound(r.v, r.s) == r.s
 
     @pytest.mark.parametrize("v,family,z", [(1, 1, 0), (21, 3, 0), (39, 2, 0), (91, 4, 0), (259, 1, 1)])
@@ -152,17 +147,20 @@ class TestEqualityFamilies:
 class TestCurveData:
     def test_v39_crossing(self):
         cd = intersection_curve_data(39)
-        assert cd.crossing == 26
         assert cd.rows[26] == (26, 26, 26)
+        assert cd.rows[27][1] < 27
         assert len(cd.rows) == 40
 
     def test_v21_crossing(self):
-        assert intersection_curve_data(21).crossing == 12
+        rows = intersection_curve_data(21).rows
+        assert rows[12] == (12, 12, 12)
+        assert rows[13][1] < 13
 
     def test_v7_bracket(self):
-        cd = intersection_curve_data(7)
-        assert cd.crossing is None
-        assert cd.crossing_bracket == (2, 3)
+        # 24*7+25 is not a square: the curves cross strictly between 2 and 3.
+        rows = intersection_curve_data(7).rows
+        assert rows[2][1] > 2
+        assert rows[3][1] < 3
 
     def test_csv_shape(self):
         text = intersection_curve_data(9).to_csv()

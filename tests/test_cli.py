@@ -11,6 +11,7 @@ from nonincidence.cli import (
     EXIT_USAGE,
     main,
 )
+from conftest import FANO_BLOCKS
 
 
 def run(*argv):
@@ -162,6 +163,18 @@ class TestSearch:
         assert rc == EXIT_FAIL
         assert "uncovered pairs" in capsys.readouterr().err
 
+    def test_bool_label_rejected(self, tmp_path, capsys):
+        design = tmp_path / "bool.json"
+        design.write_text(Design.from_blocks(7, FANO_BLOCKS).canonical_json()
+                          .replace("[0,1,2]", "[0,true,2]"))
+        rc = run("search", "--design", str(design), "--out",
+                 str(tmp_path / "r.json"))
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "True" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_budget_truncation_exit_code(self, tmp_path):
         design = tmp_path / "d15.json"
         run("construct", "--order", "15", "--out", str(design))
@@ -265,6 +278,16 @@ class TestVerifyRejectsMalformed:
         assert rc == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'Y'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bool_label_in_design_fails(self, bose9, tmp_path, capsys):
+        # The first canonical block starts with point 0.
+        design, d = bose9
+        design.write_text(d.canonical_json().replace("[[0,", "[[false,", 1))
+        rc = self._verify(tmp_path, design, self._claim(d, [0], [1]))
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "False" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_inadmissible_order_reports_without_bounds(self, tmp_path, capsys):

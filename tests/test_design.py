@@ -64,6 +64,32 @@ class TestValidate:
         with pytest.raises(DesignError):
             Design.from_blocks(7, [(0, 1, 2), (2, 1, 0)])
 
+    @pytest.mark.parametrize("v,blocks", [
+        (7, [(True, 3, 5)]),    # bool would serialize as true
+        (7, [(0, 1, 2), (1.0, 3, 5)]),
+        (7, [("1", 3, 5)]),
+        (7, [(None, 3, 5)]),
+        (True, []),
+        (7.0, [(1, 3, 5)]),
+        ("7", [(1, 3, 5)]),
+    ])
+    def test_non_integer_labels_rejected(self, v, blocks):
+        with pytest.raises(DesignError):
+            Design.from_blocks(v, blocks)
+
+    @pytest.mark.parametrize("text", [
+        '{"v": 7, "blocks": [[true, 3, 5]]}',
+        '{"v": 7, "blocks": [[1.0, 3, 5]]}',
+        '{"v": 7.0, "blocks": [[1, 3, 5]]}',
+        '{"v": true, "blocks": []}',
+    ])
+    def test_from_json_rejects_non_integer_labels(self, text):
+        # The integer twin loads.  A bool label would compare equal to it
+        # but serialize as true, so the two would digest differently.
+        Design.from_json(text.replace("true", "1").replace(".0", ""))
+        with pytest.raises(DesignError):
+            Design.from_json(text)
+
 
 class TestDisjointCount:
     def test_block_of_ag23(self, ag23):

@@ -6,6 +6,7 @@ import pytest
 
 from nonincidence import (
     Design,
+    DesignError,
     bose,
     build_sts,
     doubling,
@@ -108,9 +109,10 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("v", [7, 9, 13, 15])
     def test_sound_on_partial_and_repeated_pair_designs(self, v):
-        # Random triple sets repeat pairs (lam > 1), where the counting
-        # bound must use lam and the square ceiling does not hold; block
-        # subsets of an STS keep lam = 1 with fewer blocks.
+        # Block subsets of an STS keep lam = 1 with fewer blocks and are
+        # searched exactly.  Random triple sets mostly repeat a pair
+        # (lam > 1), where neither the counting bound nor the square
+        # ceiling holds, so the search refuses them.
         rng = random.Random(v)
         sts = build_sts(v, seed=v)
         triples = list(combinations(range(v), 3))
@@ -120,13 +122,22 @@ class TestExactSearch:
             else:
                 blocks = rng.sample(sts.blocks, rng.randrange(1, sts.b + 1))
             d = Design.from_blocks(v, blocks)
-            want = brute_force_oracle(d)
-            if want > nonincidence_upper_bound(v):
-                with pytest.raises(AssertionError):
+            if _lam(d) > 1:
+                with pytest.raises(DesignError):
                     exact_max_nonincident(d)
                 continue
             rep = exact_max_nonincident(d)
-            assert rep.exact and rep.best_s == want
+            assert rep.exact and rep.best_s == brute_force_oracle(d)
+
+    def test_family_order_certificate_is_the_subsystem(self):
+        # At v=21 the sub-STS(9) is found before any branching: Y is its
+        # complement and C its 12 interior blocks.
+        emb = embed_subsystem(9, 21, seed=1)
+        rep = exact_max_nonincident(emb.design)
+        complement = tuple(p for p in range(21) if p not in emb.sub_points)
+        assert rep.certificate.Y == complement
+        assert rep.certificate.C == emb.sub_blocks
+        assert rep.exact and rep.nodes_visited == 0
 
     @pytest.mark.parametrize("seed", range(2))
     def test_family_order_proved_by_subsystem(self, seed):
@@ -276,19 +287,14 @@ class TestGreedy:
                 <= exact_max_nonincident(d).best_s
             )
 
-    def test_seeded_with_subsystem_complement(self):
-        emb = embed_subsystem(9, 21, seed=1)
-        complement = [p for p in range(21) if p not in emb.sub_points]
-        rep = greedy_max_nonincident(emb.design, start=complement)
-        assert rep.best_s >= 12
-        assert verify_certificate(emb.design, rep.certificate, require_square=True)
-
     def test_above_ceiling_raises(self):
         # Four blocks on {0,1,2,3} leave {4,5,6} against 4 disjoint blocks:
         # s=3 above the STS(7) ceiling of 2, which only repeated pairs allow.
         d = Design.from_blocks(7, combinations(range(4), 3))
         with pytest.raises(AssertionError):
             greedy_max_nonincident(d)
+        with pytest.raises(DesignError):
+            exact_max_nonincident(d)
 
     def test_bounded_by_ceiling(self):
         d = bose(27)
@@ -310,14 +316,6 @@ class TestBruteForce:
         d19, _ = doubling(bose(9))
         with pytest.raises(ValueError):
             brute_force_oracle(d19)
-
-
-def test_subsystem_lower_bound_witness():
-    # A sub-STS(w) with at least v-w blocks forces best_s >= v-w.
-    emb = embed_subsystem(9, 21, seed=6)
-    complement = [p for p in range(21) if p not in emb.sub_points]
-    rep = greedy_max_nonincident(emb.design, start=complement)
-    assert rep.best_s >= 21 - 9
 
 
 def test_report_serialization_round_trips():
