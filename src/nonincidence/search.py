@@ -30,6 +30,22 @@ that linear program.  K never decreases as S grows, so S may be the sum
 of the need smallest live degrees, and the node is pruned when
 t - K <= best.
 
+Defect bound, the paper's count inside the tree.  The excluded points X
+of a node are its earlier siblings at every depth: no set Y' reached
+below the node contains them, so they stay in W' = V - Y'.  A defect is
+a pair of X whose block has its third point in Y; let e count them.  The
+blocks avoiding Y' lie inside W', and each covers three pairs of W' that
+no other block covers.  A defect is not among them, since its one block
+meets Y.  So 3*t(Y') <= C(v - |Y'|, 2) - e, which holds for partial
+systems too.  Beating best needs |Y'| >= best + 1 and t(Y') >= best + 1,
+so the node is pruned when C(v - best - 1, 2) - e < 3*(best + 1).  The
+search keeps e with bit operations: x1 and x2 hold the blocks with at
+least one and at least two excluded points.  The child adding p gains
+the blocks through p in x2.  Once that child returns p is excluded, and
+the blocks through p in x1 that meet Y (dead at the node) become
+defects.  e only grows along the siblings and each child starts from at
+least the running e, so once the rule fires no later sibling passes.
+
 Subsystem decision: at an equality-family order the ceiling s is reached
 iff the design has a sub-STS(w), w = v - s (see find_subsystem).  So the
 search first looks for one.  If it exists, its complement with its
@@ -84,6 +100,7 @@ def _make_certificate(d: Design, Y, disjoint_mask: int, s: int, meta):
 
 class _BranchAndBound:
     def __init__(self, d: Design, node_budget: int, bound: int):
+        self.v = d.v
         self.inc = d.point_incidence
         self.node_budget = node_budget
         pairs = [pair for blk in d.blocks for pair in combinations(blk, 2)]
@@ -109,7 +126,12 @@ class _BranchAndBound:
         self.best_mask = sum(1 << i for i in C)
         self.at_ceiling = self.best >= self.stop_at
 
-    def _rec(self, cands, Y, mask, t):
+    def _defects_allowed(self) -> int:
+        """Most defects a node may hold and still beat the incumbent."""
+        m = self.v - self.best - 1
+        return m * (m - 1) // 2 - 3 * (self.best + 1)
+
+    def _rec(self, cands, Y, mask, t, x1, x2, e):
         y = len(Y)
         value = min(y, t)
         if value > self.best:
@@ -120,7 +142,7 @@ class _BranchAndBound:
         best = self.best
         n = len(cands)
         need = best - y + 1
-        if need > n or t <= best:
+        if need > n or t <= best or e > self._defects_allowed():
             return
         inc, shift, low = self.inc, self.shift, self.low
         keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
@@ -128,6 +150,7 @@ class _BranchAndBound:
         if t - kill_bound(s, need * (need - 1) >> 1) <= best:
             return
         pts = [k & low for k in keys]
+        dead = ~mask
         for i, k in enumerate(keys):
             if y + n - i <= self.best:
                 break
@@ -139,11 +162,19 @@ class _BranchAndBound:
                 self.truncated = True
                 return
             p = pts[i]
+            ip = inc[p]
             Y.append(p)
-            self._rec(pts[i + 1:], Y, mask & ~inc[p], nt)
+            self._rec(pts[i + 1:], Y, mask & ~ip, nt,
+                      x1, x2, e + (ip & x2).bit_count())
             Y.pop()
             if self.truncated or self.at_ceiling:
                 return
+            # p is excluded from here on (see the defect bound).
+            e += (ip & x1 & dead).bit_count()
+            if e > self._defects_allowed():
+                break
+            x2 |= x1 & ip
+            x1 |= ip
 
 
 def exact_max_nonincident(
@@ -161,7 +192,7 @@ def exact_max_nonincident(
     bb = _BranchAndBound(d, node_budget, bound)
     if not bb.at_ceiling:
         full = d.all_blocks_mask()
-        bb._rec(list(range(d.v)), [], full, full.bit_count())
+        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0)
     if bb.best > bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bound}"
@@ -183,7 +214,9 @@ def exact_max_nonincident(
 def greedy_max_nonincident(d: Design) -> SearchReport:
     """Heuristic lower bound: always add the point killing fewest live blocks.
 
-    Ties break by point index, so the result is deterministic.
+    Ties break by point index, so the result is deterministic.  Raises
+    DesignError when it finds s above the ceiling: only a pair of points
+    lying on two blocks allows that, and no other check for one is made.
     """
     t0 = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
@@ -205,8 +238,9 @@ def greedy_max_nonincident(d: Design) -> SearchReport:
         if value > best:
             best, best_Y, best_mask = value, tuple(Y), mask
     if best > bound:
-        raise AssertionError(
-            f"greedy found s={best} above the theoretical ceiling {bound}"
+        raise DesignError(
+            f"greedy found s={best} above the ceiling {bound}, which only "
+            "a pair of points lying on two blocks allows"
         )
     meta = {"method": "greedy", "exact": False}
     cert = _make_certificate(d, best_Y, best_mask, best, meta)

@@ -61,6 +61,12 @@ def milp_max_nonincident(d) -> int:
                      marks=pytest.mark.slow),
         pytest.param(lambda: build_sts(27, seed=1), 15, id="build_sts(27,1)",
                      marks=pytest.mark.slow),
+        # Greedy stops at 13 here, so an over-strong prune reports 13.
+        pytest.param(lambda: build_sts(25, seed=0), 14, id="build_sts(25,0)",
+                     marks=pytest.mark.slow),
+        # Above v=27 only this oracle is independent of the search.
+        pytest.param(lambda: doubling(build_sts(15, seed=1))[0], 18,
+                     id="doubling(build_sts(15,1))", marks=pytest.mark.slow),
     ],
 )
 def test_exact_search_matches_milp(make, expected):

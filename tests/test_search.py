@@ -18,7 +18,7 @@ from nonincidence import (
     nonincidence_upper_bound,
     verify_certificate,
 )
-from nonincidence.search import kill_bound
+from nonincidence.search import _BranchAndBound, kill_bound
 from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle
 
 
@@ -77,16 +77,41 @@ class TestExactSearch:
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     @pytest.mark.parametrize("v,best,budget", [(25, 13, 250_000),
-                                                (27, 15, 300_000)])
+                                                (27, 15, 300_000),
+                                                (25, 13, 120_000),
+                                                (27, 15, 50_000),
+                                                (31, 18, 400_000)])
     def test_ladder_pruning_strength(self, v, best, budget):
-        # Each budget is below the 364,901 and 899,661 nodes that the weaker
-        # Bonferroni bound S_j - lam*C(j,2) needs, so only a bound at least
-        # as strong as the triple-counting one passes.
+        # The first two budgets are below the 364,901 and 899,661 nodes
+        # that the weaker Bonferroni bound S_j - lam*C(j,2) needs, so only
+        # a bound at least as strong as the triple-counting one passes.
+        # The last three are below the 196,318, 254,717 and 1,813,164 nodes
+        # that the triple-counting bound needs without the defect bound.
         d = build_sts(v, seed=1)
         rep = exact_max_nonincident(d, node_budget=budget)
         assert rep.exact
         assert rep.best_s == best
         assert rep.nodes_visited <= budget
+
+    @pytest.mark.slow
+    def test_bose33_proved_within_budget(self):
+        # 14,458,809 nodes without the defect bound.
+        d = bose(33)
+        rep = exact_max_nonincident(d, node_budget=4_000_000)
+        assert rep.exact
+        assert rep.best_s == 19
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    def test_sts25_seed0_above_greedy(self):
+        # Greedy reaches 13 here and the maximum is 14 (MILP-checked under
+        # -m slow), so a defect count that overshoots and prunes the
+        # subtree holding 14 is caught.
+        d = build_sts(25, seed=0)
+        assert greedy_max_nonincident(d).best_s == 13
+        rep = exact_max_nonincident(d)
+        assert rep.exact
+        assert rep.best_s == 14
+        assert verify_certificate(d, rep.certificate, require_square=True)
 
     def test_ceiling_stop_is_exact(self, fano):
         # Greedy already meets the Fano ceiling of 2: no node is needed,
@@ -221,6 +246,64 @@ class TestKillBound:
                 assert got >= kill_bound(smallest[j], q)
 
 
+class TestDefectBound:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: Design.from_blocks(7, FANO_BLOCKS),
+            lambda rng: Design.from_blocks(9, AG23_BLOCKS),
+            lambda rng: build_sts(13, seed=11),
+            lambda rng: bose(15),
+            lambda rng: Design.from_blocks(
+                13, rng.sample(build_sts(13, seed=3).blocks, 15)),
+            lambda rng: Design.from_blocks(
+                15, rng.sample(bose(15).blocks, 20)),
+        ],
+        ids=["fano", "ag23", "sts13", "bose15", "sts13_subset",
+             "bose15_subset"],
+    )
+    def test_every_superset_obeys_the_pair_count(self, make):
+        # For random disjoint Y and X, with e the pairs of X whose block
+        # has its third point in Y, every Y' between Y and V - X has
+        # 3*t(Y') <= C(v - |Y'|, 2) - e.
+        rng = random.Random(8)
+        d = make(rng)
+        third = {}
+        for blk in d.blocks:
+            for a, b in combinations(blk, 2):
+                third[a, b] = next(c for c in blk if c not in (a, b))
+        inc = d.point_incidence
+        for trial in range(10):
+            cut = rng.randrange(1, 4)
+            picked = rng.sample(range(d.v), min(d.v, cut + rng.randrange(2, 7)))
+            Y, X = picked[:cut], sorted(picked[cut:])
+            e = sum(1 for ab in combinations(X, 2) if third.get(ab) in Y)
+            free = [p for p in range(d.v) if p not in picked]
+            base = d.all_blocks_mask()
+            for p in Y:
+                base &= ~inc[p]
+            live = [base] * (1 << len(free))
+            for J in range(1, 1 << len(free)):
+                low = J & -J
+                live[J] = live[J ^ low] & ~inc[free[low.bit_length() - 1]]
+                m = d.v - len(Y) - J.bit_count()
+                assert 3 * live[J].bit_count() <= m * (m - 1) // 2 - e
+            m = d.v - len(Y)
+            assert 3 * base.bit_count() <= m * (m - 1) // 2 - e
+
+    def test_set_meeting_the_count_is_kept(self):
+        # The complement of a sub-STS(9) in an STS(21) has 12 points and 12
+        # blocks, and C(21 - 12, 2) = 3*12 with no defect: the count holds
+        # with equality.  From an incumbent of 11 the root must not be
+        # pruned, so a prune one defect too eager loses this set.
+        d = embed_subsystem(9, 21, seed=0).design
+        bb = _BranchAndBound(d, node_budget=10**6, bound=12)
+        bb.best, bb.at_ceiling = 11, False
+        full = d.all_blocks_mask()
+        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0)
+        assert bb.best == 12 and bb.at_ceiling
+
+
 def _has_subsystem(d, w):
     return any(is_subsystem(d, pts)[0] for pts in combinations(range(d.v), w))
 
@@ -291,7 +374,7 @@ class TestGreedy:
         # Four blocks on {0,1,2,3} leave {4,5,6} against 4 disjoint blocks:
         # s=3 above the STS(7) ceiling of 2, which only repeated pairs allow.
         d = Design.from_blocks(7, combinations(range(4), 3))
-        with pytest.raises(AssertionError):
+        with pytest.raises(DesignError):
             greedy_max_nonincident(d)
         with pytest.raises(DesignError):
             exact_max_nonincident(d)
