@@ -20,16 +20,12 @@ from .constructions import (
     subsystem_complement_certificate,
 )
 from .design import (
-    CoverageProfile,
     Design,
     DesignError,
     DigestMismatchError,
     NonincidenceCertificate,
     ValidityReport,
     certificate_violations,
-    coverage_profile,
-    disjoint_block_count,
-    is_maximal_arc,
     is_subsystem,
     validate_design,
     verify_certificate,
@@ -43,7 +39,6 @@ from .search import (
 
 __all__ = [
     "BudgetExhausted",
-    "CoverageProfile",
     "CurveData",
     "Design",
     "DesignError",
@@ -57,9 +52,7 @@ __all__ = [
     "build_sts",
     "certificate_violations",
     "classify_equality_order",
-    "coverage_profile",
     "disjoint_block_bound",
-    "disjoint_block_count",
     "doubling",
     "embed_subsystem",
     "enumerate_equality_orders",
@@ -67,7 +60,6 @@ __all__ = [
     "find_subsystem",
     "greedy_max_nonincident",
     "intersection_curve_data",
-    "is_maximal_arc",
     "is_subsystem",
     "nonincidence_upper_bound",
     "one_factorization",

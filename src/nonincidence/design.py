@@ -18,7 +18,7 @@ DIGEST_ALGORITHM = "sha256"
 
 
 class DesignError(ValueError):
-    """Malformed design input (bad block shape, out-of-range point)."""
+    """Malformed design input (bad block shape, out-of-range point, repeated pair)."""
 
 
 class DigestMismatchError(ValueError):
@@ -30,10 +30,11 @@ class Design:
     """An incidence structure with v points and blocks of size 3.
 
     Immutable after construction; all operations on it are pure.  The
-    constructor only enforces shape (3 distinct in-range int points per
-    block, bool excluded, no duplicate blocks); STS validity is checked
-    separately by :func:`validate_design` so that broken candidates can
-    be inspected.
+    constructor enforces shape (3 distinct in-range int points per block,
+    bool excluded) and that no pair of points lies on two blocks, which
+    also rules out a repeated block: a design is an STS or a partial one.
+    Whether every pair is covered is checked separately by
+    :func:`validate_design` so that partial designs can be inspected.
     """
 
     v: int
@@ -57,27 +58,29 @@ class Design:
                 raise DesignError(f"block {blk!r} has a point outside 0..{v - 1}")
             canon.append(pts)
         canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise DesignError(f"duplicate block {a!r}")
         point_inc = [0] * v
+        # Each point with its neighbours.  A point on k blocks has 2k
+        # neighbours when no pair through it repeats and fewer otherwise,
+        # so the masks hold v + 6b bits in all exactly when no pair repeats.
+        nbrs = [1 << p for p in range(v)]
         block_mask = []
-        for i, blk in enumerate(canon):
-            m = 0
-            for p in blk:
-                point_inc[p] |= 1 << i
-                m |= 1 << p
+        for i, (a, b, c) in enumerate(canon):
+            bit = 1 << i
+            m = 1 << a | 1 << b | 1 << c
+            point_inc[a] |= bit
+            point_inc[b] |= bit
+            point_inc[c] |= bit
+            nbrs[a] |= m
+            nbrs[b] |= m
+            nbrs[c] |= m
             block_mask.append(m)
+        if sum(map(int.bit_count, nbrs)) != v + 6 * len(canon):
+            raise DesignError(f"pair {_repeated_pair(canon)} lies on two blocks")
         return cls(v, tuple(canon), tuple(point_inc), tuple(block_mask))
 
     @property
     def b(self) -> int:
         return len(self.blocks)
-
-    @property
-    def replication(self) -> int:
-        """Blocks through each point in a valid STS: (v-1)/2."""
-        return (self.v - 1) // 2
 
     def all_blocks_mask(self) -> int:
         return (1 << self.b) - 1
@@ -110,12 +113,14 @@ def _point_mask(d: Design, points) -> int:
     return m
 
 
-def _covered_mask(d: Design, points) -> int:
-    """Bitmask of block indices meeting the given point set."""
-    m = 0
-    for p in _bits(_point_mask(d, points)):
-        m |= d.point_incidence[p]
-    return m
+def _repeated_pair(blocks) -> tuple[int, int]:
+    """The first pair, in block order, that lies on two of the sorted blocks."""
+    seen = set()
+    for a, b, c in blocks:
+        for pair in ((a, b), (a, c), (b, c)):
+            if pair in seen:
+                return pair
+            seen.add(pair)
 
 
 def _bits(mask: int):
@@ -135,99 +140,42 @@ class ValidityReport:
 
     v: int
     admissible_order: bool
-    block_count_ok: bool
-    replication_ok: bool
     uncovered_pairs: tuple[tuple[int, int], ...]
-    overcovered_pairs: tuple[tuple[int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.admissible_order
-            and self.block_count_ok
-            and self.replication_ok
-            and not self.uncovered_pairs
-            and not self.overcovered_pairs
-        )
+        return self.admissible_order and not self.uncovered_pairs
 
     def problems(self) -> list[str]:
         out = []
         if not self.admissible_order:
             out.append(f"order {self.v} is not 1 or 3 mod 6")
-        if not self.block_count_ok:
-            out.append("block count is not v(v-1)/6")
-        if not self.replication_ok:
-            out.append("some point does not lie in (v-1)/2 blocks")
         if self.uncovered_pairs:
             out.append(f"{len(self.uncovered_pairs)} uncovered pairs: "
                        f"{list(self.uncovered_pairs[:5])}")
-        if self.overcovered_pairs:
-            out.append(f"{len(self.overcovered_pairs)} multiply covered pairs: "
-                       f"{list(self.overcovered_pairs[:5])}")
         return out
 
 
 def validate_design(d: Design) -> ValidityReport:
-    """Check whether d is an STS(v); reports every violated invariant."""
+    """Check whether d is an STS(v); reports every violated invariant.
+
+    No pair repeats, so a point on fewer than (v-1)/2 blocks is the only
+    kind that misses a pair, and the block count and the replication
+    number are right exactly when no pair is missed.
+    """
     v = d.v
-    counts = {}
-    for blk in d.blocks:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                pair = (blk[i], blk[j])
-                counts[pair] = counts.get(pair, 0) + 1
     uncovered = []
-    for x in range(v):
-        for y in range(x + 1, v):
-            if (x, y) not in counts:
-                uncovered.append((x, y))
-    overcovered = [p for p, c in sorted(counts.items()) if c > 1]
-    r = (v - 1) // 2
-    replication_ok = (v - 1) % 2 == 0 and all(
-        m.bit_count() == r for m in d.point_incidence
-    )
+    for x, inc in enumerate(d.point_incidence):
+        if 2 * inc.bit_count() < v - 1:
+            seen = 0
+            for i in _bits(inc):
+                seen |= d.block_mask[i]
+            uncovered.extend((x, y) for y in range(x + 1, v) if not seen >> y & 1)
     return ValidityReport(
         v=v,
         admissible_order=v % 6 in (1, 3),
-        block_count_ok=d.b * 6 == v * (v - 1),
-        replication_ok=replication_ok,
         uncovered_pairs=tuple(uncovered),
-        overcovered_pairs=tuple(overcovered),
     )
-
-
-def disjoint_block_count(d: Design, points) -> int:
-    """Number of blocks avoiding every point of the given set."""
-    return d.b - _covered_mask(d, points).bit_count()
-
-
-@dataclass(frozen=True)
-class CoverageProfile:
-    """Intersection statistics of the blocks meeting a point set Y.
-
-    For a valid STS the last three fields are forced by counting:
-    sum_sizes = r*s, sum_pairs = s(s-1)/2 and sum_squares = s(s+r-1).
-    """
-
-    s: int
-    c: int
-    sum_sizes: int
-    sum_pairs: int
-    sum_squares: int
-
-
-def coverage_profile(d: Design, points) -> CoverageProfile:
-    ymask = _point_mask(d, points)
-    s = ymask.bit_count()
-    covered = _covered_mask(d, points)
-    c = sum_sizes = sum_pairs = sum_squares = 0
-    for i in _bits(covered):
-        k = (d.block_mask[i] & ymask).bit_count()
-        c += 1
-        sum_sizes += k
-        sum_pairs += k * (k - 1) // 2
-        sum_squares += k * k
-    return CoverageProfile(s, c, sum_sizes, sum_pairs, sum_squares)
 
 
 @dataclass(frozen=True)
@@ -344,10 +292,10 @@ def verify_certificate(
 def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
     """Whether the blocks inside the point set form an STS on it.
 
-    For an enclosing design without repeated pairs this holds iff no block
-    meets the set in exactly 2 points, the set size w is an admissible
-    order and w(w-1)/6 blocks lie inside (in a valid STS the last follows
-    from the first).  Interior block indices are returned either way.
+    This holds iff no block meets the set in exactly 2 points, the set
+    size w is an admissible order and w(w-1)/6 blocks lie inside (in a
+    valid STS the last follows from the first).  Interior block indices
+    are returned either way.
     """
     zmask = _point_mask(d, points)
     w = zmask.bit_count()
@@ -360,13 +308,3 @@ def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
         elif k == 2:
             ok = False
     return ok and len(interior) == w * (w - 1) // 6, tuple(interior)
-
-
-def is_maximal_arc(d: Design, points) -> bool:
-    """True iff the set has (v+1)/2 points and every block meets it in 0 or 2."""
-    ymask = _point_mask(d, points)
-    if 2 * ymask.bit_count() != d.v + 1:
-        return False
-    return all(
-        (m & ymask).bit_count() in (0, 2) for m in d.block_mask
-    )

@@ -5,9 +5,9 @@ size s has at least s disjoint blocks, which can then be picked freely.
 So the search maximizes min(|Y|, t(Y)), where t(Y) counts the live blocks
 (those avoiding Y); t is antitone under adding points.
 
-The exact search takes an STS or a partial one (a design in which no pair
-of points lies on two blocks, such as a block subset of an STS) and raises
-DesignError when a pair repeats.  Every rule below rests on that.
+Every rule below rests on one fact that each Design guarantees: no pair
+of points lies on two blocks.  So the search takes an STS or a partial one,
+such as a block subset of an STS.
 
 The exact search is one branch-and-bound.  Its incumbent starts from the
 greedy heuristic.  At each node every candidate's live degree is computed
@@ -58,10 +58,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations, islice
+from itertools import islice
 
 from .bounds import classify_equality_order, nonincidence_upper_bound
-from .design import Design, DesignError, NonincidenceCertificate, _bits, is_subsystem
+from .design import Design, NonincidenceCertificate, _bits, is_subsystem
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -87,8 +87,7 @@ def kill_bound(s: int, q: int) -> int:
 
     s is the sum of their live degrees and q bounds the pairs inside the
     set, counted over the live blocks they lie on (C(j, 2) for j
-    candidates when no pair repeats); see the module docstring for why
-    each term is sound.
+    candidates); see the module docstring for why each term is sound.
     """
     return max(s - q, (2 * s - q + 2) // 3, (s + 2) // 3)
 
@@ -103,10 +102,6 @@ class _BranchAndBound:
         self.v = d.v
         self.inc = d.point_incidence
         self.node_budget = node_budget
-        pairs = [pair for blk in d.blocks for pair in combinations(blk, 2)]
-        if len(set(pairs)) != len(pairs):
-            raise DesignError("a pair of points lies on two blocks; exact "
-                              "search needs an STS or a block subset of one")
         family = classify_equality_order(d.v)
         sub = None if family is None else find_subsystem(d, family.w)
         self.stop_at = bound - 1 if family and sub is None else bound
@@ -184,8 +179,7 @@ def exact_max_nonincident(
 
     Deterministic: the same design and budget give the same certificate
     and node count.  Meeting the square ceiling ends the search early
-    with a proved maximum.  Raises DesignError when a pair of points lies
-    on two blocks.
+    with a proved maximum.
     """
     start = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
@@ -214,9 +208,7 @@ def exact_max_nonincident(
 def greedy_max_nonincident(d: Design) -> SearchReport:
     """Heuristic lower bound: always add the point killing fewest live blocks.
 
-    Ties break by point index, so the result is deterministic.  Raises
-    DesignError when it finds s above the ceiling: only a pair of points
-    lying on two blocks allows that, and no other check for one is made.
+    Ties break by point index, so the result is deterministic.
     """
     t0 = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
@@ -237,11 +229,6 @@ def greedy_max_nonincident(d: Design) -> SearchReport:
         value = min(len(Y), mask.bit_count())
         if value > best:
             best, best_Y, best_mask = value, tuple(Y), mask
-    if best > bound:
-        raise DesignError(
-            f"greedy found s={best} above the ceiling {bound}, which only "
-            "a pair of points lying on two blocks allows"
-        )
     meta = {"method": "greedy", "exact": False}
     cert = _make_certificate(d, best_Y, best_mask, best, meta)
     return SearchReport(
@@ -257,9 +244,6 @@ def greedy_max_nonincident(d: Design) -> SearchReport:
 
 def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
     """The sorted points of a sub-STS(w) of d, or None when d has none.
-
-    Sound and complete for designs in which no pair of points lies on two
-    blocks; with a repeated pair the third-point table is ambiguous.
 
     Why it decides the ceiling at a family order, where the ceiling is
     s = w(w-1)/6 with w = v - s: let Y reach s and let W be the points

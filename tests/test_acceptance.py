@@ -12,15 +12,12 @@ import pytest
 from nonincidence import (
     bose,
     build_sts,
-    coverage_profile,
     disjoint_block_bound,
-    disjoint_block_count,
     doubling,
     embed_subsystem,
     enumerate_equality_orders,
     exact_max_nonincident,
     intersection_curve_data,
-    is_maximal_arc,
     is_subsystem,
     nonincidence_upper_bound,
     subsystem_complement_certificate,
@@ -28,7 +25,13 @@ from nonincidence import (
     verify_certificate,
     BudgetExhausted,
 )
-from conftest import brute_force_oracle
+from conftest import (
+    brute_force_oracle,
+    coverage_profile,
+    disjoint_block_count,
+    is_maximal_arc,
+    replication,
+)
 
 
 def _timed(limit):
@@ -152,7 +155,7 @@ def test_criterion_8_counting_identity_suite():
         d = designs[v]
         pts = rng.sample(range(v), rng.randrange(v + 1))
         prof = coverage_profile(d, pts)
-        r = d.replication
+        r = replication(d)
         s = prof.s
         assert prof.sum_sizes == r * s
         assert prof.sum_pairs == s * (s - 1) // 2

@@ -290,6 +290,26 @@ class TestVerifyRejectsMalformed:
         assert err.startswith("error:") and "False" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_repeated_pair_in_design_fails(self, bose9, tmp_path, capsys, command):
+        # A second block through the pair of block 0's first two points.
+        design, d = bose9
+        a, b, _ = d.blocks[0]
+        c = next(p for p in range(d.v) if p not in d.blocks[0])
+        design.write_text(json.dumps(
+            {"v": d.v, "blocks": [list(blk) for blk in d.blocks] + [[a, b, c]]}
+        ))
+        report = tmp_path / "r.json"
+        if command == "verify":
+            rc = self._verify(tmp_path, design, self._claim(d, [0], [1]))
+        else:
+            rc = run("search", "--design", str(design), "--out", str(report))
+        assert rc == EXIT_FAIL
+        out = capsys.readouterr()
+        assert out.out == "" and not report.exists()
+        assert out.err.startswith("error:") and "lies on two blocks" in out.err
+        assert len(out.err.strip().splitlines()) == 1
+
     def test_inadmissible_order_reports_without_bounds(self, tmp_path, capsys):
         design = tmp_path / "d8.json"
         d = Design.from_blocks(8, [(0, 1, 2), (3, 4, 5)])

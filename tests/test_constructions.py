@@ -9,13 +9,13 @@ from nonincidence import (
     disjoint_block_bound,
     doubling,
     embed_subsystem,
-    is_maximal_arc,
     is_subsystem,
     one_factorization,
     subsystem_complement_certificate,
     validate_design,
     verify_certificate,
 )
+from conftest import is_maximal_arc, replication
 
 
 class TestBose:
@@ -23,7 +23,7 @@ class TestBose:
         d = bose(9)
         assert validate_design(d).ok
         assert d.b == 12
-        assert d.replication == 4
+        assert replication(d) == 4
 
     def test_order_3(self):
         assert bose(3).blocks == ((0, 1, 2),)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -11,16 +12,22 @@ from nonincidence import (
     NonincidenceCertificate,
     bose,
     build_sts,
-    coverage_profile,
+    embed_subsystem,
     disjoint_block_bound,
-    disjoint_block_count,
     doubling,
-    is_maximal_arc,
     is_subsystem,
     validate_design,
     verify_certificate,
 )
-from conftest import AG23_BLOCKS, FANO_BLOCKS, naive_disjoint_count
+from conftest import (
+    AG23_BLOCKS,
+    FANO_BLOCKS,
+    coverage_profile,
+    disjoint_block_count,
+    is_maximal_arc,
+    naive_disjoint_count,
+    replication,
+)
 
 MALFORMED_ENTRIES = [
     ((4, 4), (0, 1)),       # repeated point
@@ -38,7 +45,7 @@ class TestValidate:
         rep = validate_design(fano)
         assert rep.ok
         assert fano.b == 7
-        assert fano.replication == 3
+        assert replication(fano) == 3
 
     def test_block_removal_breaks_three_pairs(self, fano):
         broken = Design.from_blocks(7, FANO_BLOCKS[1:])
@@ -51,10 +58,20 @@ class TestValidate:
         assert not rep.admissible_order
         assert not rep.ok
 
-    def test_doubled_pair_reported(self, fano):
-        dup = Design.from_blocks(7, FANO_BLOCKS[1:] + [(0, 1, 3)])
-        rep = validate_design(dup)
-        assert (0, 3) in rep.overcovered_pairs
+    def test_doubled_pair_reported(self):
+        with pytest.raises(DesignError, match=r"pair \(0, 3\) lies on two blocks"):
+            Design.from_blocks(7, FANO_BLOCKS[1:] + [(0, 1, 3)])
+
+    @pytest.mark.parametrize("v,blocks,pair", [
+        (4, [(0, 1, 2), (0, 1, 3)], (0, 1)),
+        (7, [(0, 1, 2), (3, 5, 6), (4, 5, 6)], (5, 6)),
+        (7, [(4, 5, 6), (3, 5, 6), (0, 1, 2)], (5, 6)),
+        (9, AG23_BLOCKS + [(2, 4, 7)], (2, 4)),
+    ], ids=["two_blocks", "off_point_0", "reversed", "ag23_plus_one"])
+    def test_shared_pair_named(self, v, blocks, pair):
+        # Two different blocks through one pair; the error names the pair.
+        with pytest.raises(DesignError, match=re.escape(f"pair {pair} lies")):
+            Design.from_blocks(v, blocks)
 
     def test_bad_block_shapes_rejected(self):
         with pytest.raises(DesignError):
@@ -89,6 +106,93 @@ class TestValidate:
         Design.from_json(text.replace("true", "1").replace(".0", ""))
         with pytest.raises(DesignError):
             Design.from_json(text)
+
+
+def pair_count_validity(d):
+    """Reference STS check: (ok, uncovered pairs) from every block's pairs.
+
+    It counts each pair, so it relies on no property of the design.
+    """
+    v = d.v
+    counts = {}
+    for blk in d.blocks:
+        for i in range(3):
+            for j in range(i + 1, 3):
+                pair = (blk[i], blk[j])
+                counts[pair] = counts.get(pair, 0) + 1
+    uncovered = []
+    for x in range(v):
+        for y in range(x + 1, v):
+            if (x, y) not in counts:
+                uncovered.append((x, y))
+    overcovered = [p for p, c in sorted(counts.items()) if c > 1]
+    r = (v - 1) // 2
+    replication_ok = (v - 1) % 2 == 0 and all(
+        m.bit_count() == r for m in d.point_incidence
+    )
+    ok = (v % 6 in (1, 3) and d.b * 6 == v * (v - 1) and replication_ok
+          and not uncovered and not overcovered)
+    return ok, tuple(uncovered)
+
+
+SUITE_STS = {
+    "fano": lambda: Design.from_blocks(7, FANO_BLOCKS),
+    "ag23": lambda: Design.from_blocks(9, AG23_BLOCKS),
+    "sts1": lambda: build_sts(1),
+    "bose3": lambda: bose(3),
+    "sts7_1": lambda: build_sts(7, seed=1),
+    "bose9": lambda: bose(9),
+    "sts13_3": lambda: build_sts(13, seed=3),
+    "sts13_11": lambda: build_sts(13, seed=11),
+    "bose15": lambda: bose(15),
+    "embed3_15": lambda: embed_subsystem(3, 15, seed=0).design,
+    "embed7_15": lambda: embed_subsystem(7, 15, seed=0).design,
+    "doubling9": lambda: doubling(bose(9))[0],
+    "sts19_1": lambda: build_sts(19, seed=1),
+    "bose21": lambda: bose(21),
+    "embed9_21": lambda: embed_subsystem(9, 21, seed=0).design,
+    "sts25_0": lambda: build_sts(25, seed=0),
+    "sts25_1": lambda: build_sts(25, seed=1),
+    "sts27_1": lambda: build_sts(27, seed=1),
+    "doubling15": lambda: doubling(build_sts(15, seed=1))[0],
+    "bose33": lambda: bose(33),
+    "embed13_39": lambda: embed_subsystem(13, 39, seed=0).design,
+    "bose39": lambda: bose(39),
+    "embed21_91": lambda: embed_subsystem(21, 91, seed=0).design,
+    "doubling45": lambda: doubling(bose(45))[0],
+    "bose99": lambda: bose(99),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_STS)
+def test_validity_matches_pair_count_reference(name):
+    # On the STS itself and on random block subsets of it.
+    sts = SUITE_STS[name]()
+    rng = random.Random(sts.v)
+    designs = [sts] + [
+        Design.from_blocks(sts.v, rng.sample(sts.blocks, k))
+        for k in {0, rng.randrange(sts.b + 1), sts.b // 2, max(sts.b - 1, 0)}
+    ]
+    for d in designs:
+        rep = validate_design(d)
+        assert (rep.ok, rep.uncovered_pairs) == pair_count_validity(d)
+    assert validate_design(sts).ok
+
+
+@pytest.mark.parametrize("v,blocks", [
+    *((7, FANO_BLOCKS[:i] + FANO_BLOCKS[i + 1:]) for i in range(7)),
+    (8, []),
+    (8, [(0, 1, 2), (3, 4, 5)]),
+    (8, FANO_BLOCKS),
+    (11, [(0, 1, 2)]),
+    (11, AG23_BLOCKS),
+])
+def test_validity_matches_reference_on_partial_systems(v, blocks):
+    # Fano minus one block, and orders 8 and 11, which have no STS.
+    d = Design.from_blocks(v, blocks)
+    rep = validate_design(d)
+    assert not rep.ok
+    assert (rep.ok, rep.uncovered_pairs) == pair_count_validity(d)
 
 
 class TestDisjointCount:
@@ -140,7 +244,7 @@ def test_counting_identities_random_subsets(v):
         d, _ = doubling(bose(9))
     else:
         d = build_sts(v, seed=v)
-    r = d.replication
+    r = replication(d)
     b = d.b
     rng = random.Random(v)
     for _ in range(40):

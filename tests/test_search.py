@@ -137,7 +137,7 @@ class TestExactSearch:
         # Block subsets of an STS keep lam = 1 with fewer blocks and are
         # searched exactly.  Random triple sets mostly repeat a pair
         # (lam > 1), where neither the counting bound nor the square
-        # ceiling holds, so the search refuses them.
+        # ceiling holds, so no design is built from them.
         rng = random.Random(v)
         sts = build_sts(v, seed=v)
         triples = list(combinations(range(v), 3))
@@ -146,11 +146,11 @@ class TestExactSearch:
                 blocks = rng.sample(triples, rng.randrange(1, 3 * v))
             else:
                 blocks = rng.sample(sts.blocks, rng.randrange(1, sts.b + 1))
-            d = Design.from_blocks(v, blocks)
-            if _lam(d) > 1:
+            if _lam(blocks) > 1:
                 with pytest.raises(DesignError):
-                    exact_max_nonincident(d)
+                    Design.from_blocks(v, blocks)
                 continue
+            d = Design.from_blocks(v, blocks)
             rep = exact_max_nonincident(d)
             assert rep.exact and rep.best_s == brute_force_oracle(d)
 
@@ -175,8 +175,8 @@ class TestExactSearch:
         assert verify_certificate(d, rep.certificate, require_square=True)
 
 
-def _lam(d):
-    pairs = Counter(pr for blk in d.blocks for pr in combinations(blk, 2))
+def _lam(blocks):
+    pairs = Counter(pr for blk in blocks for pr in combinations(blk, 2))
     return max(pairs.values(), default=0)
 
 
@@ -197,18 +197,14 @@ class TestKillBound:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda rng: Design.from_blocks(7, FANO_BLOCKS),
-            lambda rng: Design.from_blocks(9, AG23_BLOCKS),
-            lambda rng: build_sts(13, seed=11),
-            lambda rng: bose(15),
-            lambda rng: Design.from_blocks(
-                13, rng.sample(build_sts(13, seed=3).blocks, 15)),
-            lambda rng: Design.from_blocks(
-                15, rng.sample(bose(15).blocks, 20)),
-            lambda rng: Design.from_blocks(
-                9, rng.sample(list(combinations(range(9), 3)), 30)),
-            lambda rng: Design.from_blocks(
-                12, rng.sample(list(combinations(range(12), 3)), 40)),
+            lambda rng: (7, FANO_BLOCKS),
+            lambda rng: (9, AG23_BLOCKS),
+            lambda rng: (13, build_sts(13, seed=11).blocks),
+            lambda rng: (15, bose(15).blocks),
+            lambda rng: (13, rng.sample(build_sts(13, seed=3).blocks, 15)),
+            lambda rng: (15, rng.sample(bose(15).blocks, 20)),
+            lambda rng: (9, rng.sample(list(combinations(range(9), 3)), 30)),
+            lambda rng: (12, rng.sample(list(combinations(range(12), 3)), 40)),
         ],
         ids=["fano", "ag23", "sts13", "bose15", "sts13_subset",
              "bose15_subset", "triples9", "triples12"],
@@ -217,16 +213,21 @@ class TestKillBound:
         # For random Y, every set J of j candidates kills at least
         # K(S, lam*C(j,2)) live blocks, both with S the degree sum of J and
         # with S_j, the sum of the j smallest live degrees the search uses.
+        # The triple sets repeat pairs (lam > 1), which no Design allows,
+        # so the incidence masks are built here.
         rng = random.Random(4)
-        d = make(rng)
-        lam = _lam(d)
-        inc = d.point_incidence
+        v, blocks = make(rng)
+        lam = _lam(blocks)
+        inc = [0] * v
+        for i, blk in enumerate(blocks):
+            for p in blk:
+                inc[p] |= 1 << i
         for trial in range(3):
-            Y = rng.sample(range(d.v), trial)
-            mask = d.all_blocks_mask()
+            Y = rng.sample(range(v), trial)
+            mask = (1 << len(blocks)) - 1
             for p in Y:
                 mask &= ~inc[p]
-            cands = [p for p in range(d.v) if p not in Y]
+            cands = [p for p in range(v) if p not in Y]
             live = [inc[p] & mask for p in cands]
             deg = [m.bit_count() for m in live]
             smallest = [0]
@@ -371,13 +372,11 @@ class TestGreedy:
             )
 
     def test_above_ceiling_raises(self):
-        # Four blocks on {0,1,2,3} leave {4,5,6} against 4 disjoint blocks:
-        # s=3 above the STS(7) ceiling of 2, which only repeated pairs allow.
-        d = Design.from_blocks(7, combinations(range(4), 3))
-        with pytest.raises(DesignError):
-            greedy_max_nonincident(d)
-        with pytest.raises(DesignError):
-            exact_max_nonincident(d)
+        # Four blocks on {0,1,2,3} would leave {4,5,6} against 4 disjoint
+        # blocks: s=3 above the STS(7) ceiling of 2, which only repeated
+        # pairs allow, so no such design is built.
+        with pytest.raises(DesignError, match=r"pair \(0, 1\) lies"):
+            Design.from_blocks(7, combinations(range(4), 3))
 
     def test_bounded_by_ceiling(self):
         d = bose(27)
