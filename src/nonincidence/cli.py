@@ -158,6 +158,13 @@ def cmd_verify(args) -> int:
     ceiling = bnd.disjoint_block_bound(d.v, s) if admissible else None
     fv = bnd.nonincidence_upper_bound(d.v) if admissible else None
     if ok:
+        # The bound counts the blocks avoiding Y, so it holds for partial
+        # systems too: a verified claim above it is a verifier fault.
+        if admissible and min(s, t) > fv:
+            raise AssertionError(
+                f"verified claim min(|Y|, |C|)={min(s, t)} above the "
+                f"theoretical ceiling {fv}"
+            )
         print(f"OK: s={s} blocks={t} disjoint-block ceiling={ceiling} "
               f"square-bound={fv}")
         return EXIT_OK

@@ -9,6 +9,7 @@ frozen sub-design for everything the direct constructions do not reach.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .design import Design, NonincidenceCertificate, validate_design
@@ -92,18 +93,25 @@ def _hill_climb(
     fixed_blocks: list[tuple[int, int, int]],
     rng: random.Random,
     move_budget: int,
-) -> list[tuple[int, int, int]]:
+) -> tuple[list[tuple[int, int, int]], int, int]:
     """Complete a partial triple system to an STS(v), keeping fixed blocks.
 
     Classic switch-based hill-climbing: pick a point of deficient degree,
     pick two of its uncovered partners, insert the triple, evicting the
     block that covered the partner pair if there was one.  Fixed blocks
-    are never evicted.  Las Vegas: returns a valid block list or raises.
+    are never evicted.  Las Vegas: returns (blocks, moves, evictions) or
+    raises; moves counts every point drawn, evictions every block removed.
+
+    ``unc[x]`` is x's uncovered partners in ascending order, kept up to
+    date by each insertion and eviction: the list a scan of x's row for
+    uncovered pairs would build.  So the calls on ``rng``, and therefore
+    the blocks, are those of that scan.  No pair is covered twice, so x
+    has full degree exactly when ``unc[x]`` is empty.
     """
-    r = (v - 1) // 2
     target = v * (v - 1) // 6
     cover: list[list[tuple[int, int, int] | None]] = [[None] * v for _ in range(v)]
-    deg = [0] * v
+    points = list(range(v))
+    unc = [points[:x] + points[x + 1:] for x in points]
     fixed = set(fixed_blocks)
     blocks = set()
 
@@ -113,9 +121,13 @@ def _hill_climb(
         cover[a][b] = cover[b][a] = blk
         cover[a][c] = cover[c][a] = blk
         cover[b][c] = cover[c][b] = blk
-        deg[a] += 1
-        deg[b] += 1
-        deg[c] += 1
+        ua, ub, uc = unc[a], unc[b], unc[c]
+        ua.remove(b)
+        ua.remove(c)
+        ub.remove(a)
+        ub.remove(c)
+        uc.remove(a)
+        uc.remove(b)
 
     def remove(blk):
         blocks.discard(blk)
@@ -123,14 +135,18 @@ def _hill_climb(
         cover[a][b] = cover[b][a] = None
         cover[a][c] = cover[c][a] = None
         cover[b][c] = cover[c][b] = None
-        deg[a] -= 1
-        deg[b] -= 1
-        deg[c] -= 1
+        ua, ub, uc = unc[a], unc[b], unc[c]
+        insort(ua, b)
+        insort(ua, c)
+        insort(ub, a)
+        insort(ub, c)
+        insort(uc, a)
+        insort(uc, b)
 
     for blk in fixed_blocks:
         add(blk)
 
-    moves = 0
+    moves = evictions = 0
     while len(blocks) < target:
         moves += 1
         if moves > move_budget:
@@ -138,18 +154,18 @@ def _hill_climb(
                 f"no STS({v}) completion within {move_budget} moves"
             )
         x = rng.randrange(v)
-        if deg[x] == r:
+        partners = unc[x]
+        if not partners:
             continue
-        row = cover[x]
-        partners = [y for y in range(v) if y != x and row[y] is None]
         y, z = rng.sample(partners, 2)
         displaced = cover[y][z]
         if displaced is not None:
             if displaced in fixed:
                 continue
             remove(displaced)
+            evictions += 1
         add(tuple(sorted((x, y, z))))
-    return sorted(blocks)
+    return sorted(blocks), moves, evictions
 
 
 def embed_subsystem(
@@ -162,7 +178,8 @@ def embed_subsystem(
 
     The sub-design is built directly, then the remaining pairs are
     completed by hill-climbing that never touches the frozen sub-blocks.
-    Deterministic for a given (w, v, seed).
+    Deterministic for a given (w, v, seed); meta records the climb's
+    moves and evictions.
     """
     if v % 6 not in (1, 3) or w % 6 not in (1, 3):
         raise ValueError(f"orders ({w}, {v}) must both be 1 or 3 mod 6")
@@ -170,7 +187,7 @@ def embed_subsystem(
         raise ValueError(f"an STS({v}) cannot properly contain a sub-STS({w})")
     rng = random.Random(seed)
     sub_blocks = [] if w < 3 else list(build_sts(w, seed=rng.randrange(2**32)).blocks)
-    blocks = _hill_climb(v, sub_blocks, rng, move_budget)
+    blocks, moves, evictions = _hill_climb(v, sub_blocks, rng, move_budget)
     d = Design.from_blocks(v, blocks)
     fixed = set(sub_blocks)
     idx = tuple(i for i, blk in enumerate(d.blocks) if blk in fixed)
@@ -178,7 +195,8 @@ def embed_subsystem(
         design=d,
         sub_points=tuple(range(w)),
         sub_blocks=idx,
-        meta={"construction": "embed_subsystem", "w": w, "v": v, "seed": seed},
+        meta={"construction": "embed_subsystem", "w": w, "v": v, "seed": seed,
+              "moves": moves, "evictions": evictions},
     )
 
 

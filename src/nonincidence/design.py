@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 
 DIGEST_ALGORITHM = "sha256"
@@ -93,6 +94,12 @@ class Design:
         )
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # Computed on first use and kept in the instance's __dict__, which
+        # the frozen fields, eq, hash and repr never look at.
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     @classmethod

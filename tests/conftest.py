@@ -1,8 +1,9 @@
+import random
 from dataclasses import dataclass
 
 import pytest
 
-from nonincidence import Design
+from nonincidence import BudgetExhausted, Design
 from nonincidence.design import _bits, _point_mask
 
 # Hand-written reference systems, independent of the package's builders.
@@ -121,3 +122,110 @@ def is_maximal_arc(d: Design, points) -> bool:
     return all(
         (m & ymask).bit_count() in (0, 2) for m in d.block_mask
     )
+
+
+# The hill-climb as it was before it kept sorted uncovered-partner lists:
+# it rebuilds each point's partner list by scanning its row.  Kept as the
+# reference that the current climb must match block for block and call
+# for call on the random generator.
+
+
+def reference_hill_climb(
+    v: int,
+    fixed_blocks: list[tuple[int, int, int]],
+    rng: random.Random,
+    move_budget: int,
+) -> list[tuple[int, int, int]]:
+    """Complete a partial triple system to an STS(v), keeping fixed blocks.
+
+    Classic switch-based hill-climbing: pick a point of deficient degree,
+    pick two of its uncovered partners, insert the triple, evicting the
+    block that covered the partner pair if there was one.  Fixed blocks
+    are never evicted.  Las Vegas: returns a valid block list or raises.
+    """
+    r = (v - 1) // 2
+    target = v * (v - 1) // 6
+    cover: list[list[tuple[int, int, int] | None]] = [[None] * v for _ in range(v)]
+    deg = [0] * v
+    fixed = set(fixed_blocks)
+    blocks = set()
+
+    def add(blk):
+        blocks.add(blk)
+        a, b, c = blk
+        cover[a][b] = cover[b][a] = blk
+        cover[a][c] = cover[c][a] = blk
+        cover[b][c] = cover[c][b] = blk
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
+
+    def remove(blk):
+        blocks.discard(blk)
+        a, b, c = blk
+        cover[a][b] = cover[b][a] = None
+        cover[a][c] = cover[c][a] = None
+        cover[b][c] = cover[c][b] = None
+        deg[a] -= 1
+        deg[b] -= 1
+        deg[c] -= 1
+
+    for blk in fixed_blocks:
+        add(blk)
+
+    moves = 0
+    while len(blocks) < target:
+        moves += 1
+        if moves > move_budget:
+            raise BudgetExhausted(
+                f"no STS({v}) completion within {move_budget} moves"
+            )
+        x = rng.randrange(v)
+        if deg[x] == r:
+            continue
+        row = cover[x]
+        partners = [y for y in range(v) if y != x and row[y] is None]
+        y, z = rng.sample(partners, 2)
+        displaced = cover[y][z]
+        if displaced is not None:
+            if displaced in fixed:
+                continue
+            remove(displaced)
+        add(tuple(sorted((x, y, z))))
+    return sorted(blocks)
+
+
+class CountingRandom(random.Random):
+    """A Random that records what randrange and sample return.
+
+    It draws exactly what random.Random draws: sample reaches the
+    generator through _randbelow, not through randrange.
+    """
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.points = []
+        self.pairs = []
+
+    def randrange(self, *args):
+        x = super().randrange(*args)
+        self.points.append(x)
+        return x
+
+    def sample(self, population, k):
+        out = super().sample(population, k)
+        self.pairs.append(tuple(out))
+        return out
+
+
+def climb_counts(rng: CountingRandom, fixed_blocks) -> tuple[int, int]:
+    """(moves, blocks added) of a finished climb, from its draws.
+
+    Every move draws one point, and a drawn pair is inserted unless a
+    fixed block covers it.
+    """
+    fixed_pairs = {
+        pair for a, b, c in fixed_blocks for pair in ((a, b), (a, c), (b, c))
+    }
+    added = sum(1 for y, z in rng.pairs if (min(y, z), max(y, z)) not in fixed_pairs)
+    return len(rng.points), added

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nonincidence import Design, NonincidenceCertificate
+from nonincidence import Design, NonincidenceCertificate, cli
 from nonincidence.cli import (
     EXIT_BUDGET,
     EXIT_DIGEST,
@@ -33,6 +33,7 @@ class TestConstruct:
         cert_path = tmp_path / "d21.cert.json"
         cert = NonincidenceCertificate.from_json(cert_path.read_text())
         assert len(cert.Y) == 12 and len(cert.C) == 12
+        assert cert.meta["moves"] > 0 and cert.meta["evictions"] >= 0
 
     def test_doubling_writes_arc(self, tmp_path):
         out = tmp_path / "d19.json"
@@ -309,6 +310,22 @@ class TestVerifyRejectsMalformed:
         assert out.out == "" and not report.exists()
         assert out.err.startswith("error:") and "lies on two blocks" in out.err
         assert len(out.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("ny,nc,over", [(4, 4, True), (9, 3, False), (3, 3, False)])
+    def test_claim_above_square_bound_is_internal_error(
+            self, bose9, tmp_path, capsys, monkeypatch, ny, nc, over):
+        # The square bound at v=9 is 3.  Only a faulty verifier can pass a
+        # claim above it, so one is forced here by patching the verifier.
+        design, d = bose9
+        monkeypatch.setattr(cli, "verify_certificate", lambda *args, **kw: True)
+        data = self._claim(d, list(range(ny)), list(range(nc)))
+        if over:
+            with pytest.raises(AssertionError, match=r"=4 above .* ceiling 3"):
+                self._verify(tmp_path, design, data)
+            assert "OK" not in capsys.readouterr().out
+        else:
+            assert self._verify(tmp_path, design, data) == EXIT_OK
+            assert capsys.readouterr().out.startswith("OK")
 
     def test_inadmissible_order_reports_without_bounds(self, tmp_path, capsys):
         design = tmp_path / "d8.json"

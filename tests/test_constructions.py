@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,14 @@ from nonincidence import (
     validate_design,
     verify_certificate,
 )
-from conftest import is_maximal_arc, replication
+from nonincidence.constructions import DEFAULT_MOVE_BUDGET, _hill_climb
+from conftest import (
+    CountingRandom,
+    climb_counts,
+    is_maximal_arc,
+    reference_hill_climb,
+    replication,
+)
 
 
 class TestBose:
@@ -146,6 +154,8 @@ class TestComplementCertificate:
         assert verify_certificate(emb.design, cert, require_square=True)
         assert cert.meta["construction"] == "embed_subsystem"
         assert cert.meta["w"] == 9 and cert.meta["seed"] == 3
+        assert cert.meta["moves"] == emb.meta["moves"] > 0
+        assert cert.meta["evictions"] == emb.meta["evictions"]
 
     def test_trimmed_at_7(self):
         emb = embed_subsystem(3, 7, seed=0)
@@ -153,6 +163,64 @@ class TestComplementCertificate:
         assert len(cert.Y) == 4
         assert len(cert.C) == 1
         assert verify_certificate(emb.design, cert)
+
+
+def _climb_inputs(w, v, seed):
+    """The frozen sub-blocks and generator state embed_subsystem climbs from."""
+    rng = random.Random(seed)
+    sub = [] if w < 3 else list(build_sts(w, seed=rng.randrange(2**32)).blocks)
+    return sub, rng.getstate()
+
+
+def _generator(state, cls=random.Random):
+    rng = cls()
+    rng.setstate(state)
+    return rng
+
+
+class TestHillClimbReference:
+    """The climb gives the reference's blocks, draws and move counts.
+
+    The reference is the row-scanning climb in conftest; equal generator
+    states afterwards mean both made the same calls on it.
+    """
+
+    @pytest.mark.parametrize("w,v", [
+        (3, 7), (3, 13), (3, 19), (3, 25), (3, 31), (3, 37), (1, 9), (7, 15),
+        (9, 19), (9, 21), (13, 27), (13, 39), (7, 43), (15, 63),
+        pytest.param(21, 91, marks=pytest.mark.slow),
+        pytest.param(31, 127, marks=pytest.mark.slow),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference(self, w, v, seed):
+        sub, state = _climb_inputs(w, v, seed)
+        ref_rng = _generator(state, CountingRandom)
+        ref = reference_hill_climb(v, sub, ref_rng, DEFAULT_MOVE_BUDGET)
+        rng = _generator(state)
+        blocks, moves, evictions = _hill_climb(v, sub, rng, DEFAULT_MOVE_BUDGET)
+        assert blocks == ref
+        assert rng.getstate() == ref_rng.getstate()
+        # Each block inserted beyond the v(v-1)/6 - |fixed| the climb ends
+        # with replaced an evicted one.
+        drawn, added = climb_counts(ref_rng, sub)
+        assert moves == drawn >= added
+        assert evictions == added - (v * (v - 1) // 6 - len(sub))
+        emb = embed_subsystem(w, v, seed)
+        assert emb.design.blocks == tuple(ref)
+        assert (emb.meta["moves"], emb.meta["evictions"]) == (moves, evictions)
+
+    def test_budget_boundary_matches_reference(self):
+        # Of seeds 0-199, embed(13, 39) at seed 149 needs the most moves.
+        w, v, seed, need = 13, 39, 149, 6371
+        sub, state = _climb_inputs(w, v, seed)
+        with pytest.raises(BudgetExhausted):
+            reference_hill_climb(v, sub, _generator(state), need - 1)
+        with pytest.raises(BudgetExhausted):
+            embed_subsystem(w, v, seed, move_budget=need - 1)
+        ref = reference_hill_climb(v, sub, _generator(state), need)
+        emb = embed_subsystem(w, v, seed, move_budget=need)
+        assert emb.design.blocks == tuple(ref)
+        assert emb.meta["moves"] == need
 
 
 class TestBuildSts:

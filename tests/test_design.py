@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -354,6 +355,30 @@ class TestCertificates:
         del data["Y"]
         with pytest.raises(DesignError, match="'Y'"):
             NonincidenceCertificate.from_json(json.dumps(data))
+
+
+class TestDigestCache:
+    def test_repeated_calls_give_the_hash_of_the_json(self, ag23):
+        expect = hashlib.sha256(ag23.canonical_json().encode()).hexdigest()
+        assert [ag23.digest() for _ in range(3)] == [expect] * 3
+
+    def test_cached_design_equals_fresh_copy(self, ag23):
+        ag23.digest()
+        fresh = Design.from_blocks(9, AG23_BLOCKS)
+        assert fresh == ag23 and hash(fresh) == hash(ag23)
+        assert repr(fresh) == repr(ag23)
+        assert fresh.digest() == ag23.digest()
+
+    def test_cache_belongs_to_one_instance(self):
+        from nonincidence import subsystem_complement_certificate
+
+        first = embed_subsystem(9, 21, seed=1)
+        second = embed_subsystem(9, 21, seed=2)
+        assert first.design.digest() != second.design.digest()
+        cert = subsystem_complement_certificate(first)
+        assert verify_certificate(first.design, cert, require_square=True)
+        with pytest.raises(DigestMismatchError):
+            verify_certificate(second.design, cert)
 
 
 class TestSubsystem:
