@@ -1,7 +1,8 @@
 """Command-line workflows: construct, bound, families, search, verify.
 
-Exit codes: 0 success, 1 verification/validation failure, 2 usage error,
-3 retryable budget exhaustion, 4 certificate digest mismatch.
+Exit codes: 0 success, 1 verification/validation failure or a file that
+cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
+4 certificate digest mismatch.
 """
 
 from __future__ import annotations
@@ -81,13 +82,17 @@ def cmd_construct(args) -> int:
     except cons.BudgetExhausted as exc:
         print(f"error: {exc} (retry with another seed)", file=sys.stderr)
         return EXIT_BUDGET
-    Path(args.out).write_text(design.canonical_json())
-    log.info("wrote design order %d to %s", v, args.out)
-    if cert is not None:
-        cert_path = args.cert_out or _default_cert_path(args.out)
-        Path(cert_path).write_text(cert.to_json())
-        log.info("wrote certificate |Y|=%d |C|=%d to %s",
-                 len(cert.Y), len(cert.C), cert_path)
+    try:
+        Path(args.out).write_text(design.canonical_json())
+        log.info("wrote design order %d to %s", v, args.out)
+        if cert is not None:
+            cert_path = args.cert_out or _default_cert_path(args.out)
+            Path(cert_path).write_text(cert.to_json())
+            log.info("wrote certificate |Y|=%d |C|=%d to %s",
+                     len(cert.Y), len(cert.C), cert_path)
+    except OSError as exc:
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -133,7 +138,11 @@ def cmd_search(args) -> int:
         rep = srch.greedy_max_nonincident(d)
     else:
         rep = srch.exact_max_nonincident(d, node_budget=args.budget)
-    Path(args.out).write_text(rep.to_json())
+    try:
+        Path(args.out).write_text(rep.to_json())
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     print(f"best_s={rep.best_s} exact={rep.exact} bound={rep.bound_used} "
           f"nodes={rep.nodes_visited}")
     if not args.greedy and not rep.exact:
@@ -180,6 +189,17 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer that is 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nonincidence",
@@ -194,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--double-from", type=int,
                    help="double an STS of this order (order must be 2w+1)")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--budget", type=int, default=cons.DEFAULT_MOVE_BUDGET,
+    c.add_argument("--budget", type=_count, default=cons.DEFAULT_MOVE_BUDGET,
                    help="hill-climbing move budget")
     c.add_argument("--out", required=True)
     c.add_argument("--cert-out")
@@ -208,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("families", help="orders where the bound is attained")
     g = f.add_mutually_exclusive_group(required=True)
-    g.add_argument("--zmax", type=int)
+    g.add_argument("--zmax", type=_count)
     g.add_argument("--classify", type=int)
     f.set_defaults(func=cmd_families)
 
@@ -216,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--design", required=True)
     s.add_argument("--greedy", action="store_true",
                    help="run the greedy heuristic instead of exact search")
-    s.add_argument("--budget", type=int, default=srch.DEFAULT_NODE_BUDGET)
+    s.add_argument("--budget", type=_count, default=srch.DEFAULT_NODE_BUDGET)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_search)
 

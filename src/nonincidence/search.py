@@ -33,18 +33,41 @@ t - K <= best.
 Defect bound, the paper's count inside the tree.  The excluded points X
 of a node are its earlier siblings at every depth: no set Y' reached
 below the node contains them, so they stay in W' = V - Y'.  A defect is
-a pair of X whose block has its third point in Y; let e count them.  The
-blocks avoiding Y' lie inside W', and each covers three pairs of W' that
-no other block covers.  A defect is not among them, since its one block
-meets Y.  So 3*t(Y') <= C(v - |Y'|, 2) - e, which holds for partial
-systems too.  Beating best needs |Y'| >= best + 1 and t(Y') >= best + 1,
-so the node is pruned when C(v - best - 1, 2) - e < 3*(best + 1).  The
-search keeps e with bit operations: x1 and x2 hold the blocks with at
-least one and at least two excluded points.  The child adding p gains
-the blocks through p in x2.  Once that child returns p is excluded, and
-the blocks through p in x1 that meet Y (dead at the node) become
-defects.  e only grows along the siblings and each child starts from at
-least the running e, so once the rule fires no later sibling passes.
+a pair of X whose block has its third point in Y; let e count them and
+d_x the defects at x.  The blocks avoiding Y' lie inside W', and each
+covers three pairs of W' that no other block covers.  A defect is not
+among them, since its one block meets Y.  Count per point, with
+M = |W'|: the blocks inside W' through x cover x's M - 1 pairs in W' two
+at a time and miss its d_x defects, so x lies on at most
+floor((M - 1 - d_x)/2) of them (d_x = 0 outside X).  Summing over W'
+gives 3*t(Y') <= C(M, 2) - e - h, which holds for partial systems too.
+The floors take 1/2 from each point with M - 1 - d_x odd.  Let o count
+the points of X with d_x odd (o is even, as the d_x sum to 2e).  For
+odd M those points are the o, so h = o/2; for even M they are the M - o
+points with d_x even, so h = (M - o)/2.  Each point's term grows with M
+and the points added to W' add terms >= 0, so the bound never falls as
+M grows.  Beating best needs |Y'| >= best + 1, so M <= m = v - best - 1,
+and t(Y') >= best + 1: the node is pruned when
+e + h(m, o) > C(m, 2) - 3*(best + 1).  With h = 0 this is the pair count
+alone.  The search writes h as |m' - o|/2, with m' = m for even m and 0
+for odd m.  That is (m - o)/2 wherever o <= |X| <= m; where |X| > m, no
+set inside V - X reaches best + 1 points and the size rule prunes the
+same node.  The limit C(m, 2) - 3*(best + 1) and m' change only with
+the incumbent, so they are set there.
+
+The search keeps e, o and X with bit operations: x1 and x2 hold the
+blocks with at least one and at least two excluded points, xm the
+excluded points, and the mask o the excluded points with d_x odd (its
+bit count is the o above).  The child adding p gains the blocks through
+p in x2 as defects.  Once that child returns p is excluded, and the
+blocks through p in x1 that meet Y (dead at the node) become defects.
+Each new defect flips the parity of its two points: for each new block,
+the points of its mask inside xm, p included once it is excluded.  d_x
+and o are fixed by Y and X alone, not by best, so a new incumbent needs
+no recount.  The rule is tested at node entry and again after each
+exclusion, where it breaks the sibling loop: every set below a later
+sibling contains Y and avoids X and p, so the bound just tested covers
+it.
 
 Subsystem decision: at an equality-family order the ceiling s is reached
 iff the design has a sub-STS(w), w = v - s (see find_subsystem).  So the
@@ -92,6 +115,16 @@ def kill_bound(s: int, q: int) -> int:
     return max(s - q, (2 * s - q + 2) // 3, (s + 2) // 3)
 
 
+def _xor_blocks(block_mask, blocks: int) -> int:
+    """XOR of the point masks block_mask[i] over the blocks i in blocks."""
+    z = 0
+    while blocks:
+        low = blocks & -blocks
+        z ^= block_mask[low.bit_length() - 1]
+        blocks ^= low
+    return z
+
+
 def _make_certificate(d: Design, Y, disjoint_mask: int, s: int, meta):
     blocks = list(islice(_bits(disjoint_mask), s))
     return NonincidenceCertificate.build(d, sorted(Y)[:s], blocks, meta=meta)
@@ -101,6 +134,7 @@ class _BranchAndBound:
     def __init__(self, d: Design, node_budget: int, bound: int):
         self.v = d.v
         self.inc = d.point_incidence
+        self.block_mask = d.block_mask
         self.node_budget = node_budget
         family = classify_equality_order(d.v)
         sub = None if family is None else find_subsystem(d, family.w)
@@ -117,29 +151,36 @@ class _BranchAndBound:
         else:
             self.best_Y = tuple(sorted(set(range(d.v)).difference(sub)))
             C = is_subsystem(d, sub)[1]
-        self.best = min(len(self.best_Y), len(C))
-        self.best_mask = sum(1 << i for i in C)
+        self._incumbent(min(len(self.best_Y), len(C)), self.best_Y,
+                        sum(1 << i for i in C))
         self.at_ceiling = self.best >= self.stop_at
 
-    def _defects_allowed(self) -> int:
-        """Most defects a node may hold and still beat the incumbent."""
-        m = self.v - self.best - 1
-        return m * (m - 1) // 2 - 3 * (self.best + 1)
+    def _incumbent(self, value, Y, mask):
+        """Take a new incumbent and the defect limit that beating it sets.
 
-    def _rec(self, cands, Y, mask, t, x1, x2, e):
+        A node is pruned when e + |m_even - o|/2 > limit: see the defect
+        bound in the module docstring.
+        """
+        self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
+        m = self.v - value - 1
+        self.limit = m * (m - 1) // 2 - 3 * (value + 1)
+        self.m_even = 0 if m & 1 else m
+
+    def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
         y = len(Y)
         value = min(y, t)
         if value > self.best:
-            self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
+            self._incumbent(value, Y, mask)
             if value >= self.stop_at:
                 self.at_ceiling = True
                 return
         best = self.best
         n = len(cands)
         need = best - y + 1
-        if need > n or t <= best or e > self._defects_allowed():
+        if (need > n or t <= best
+                or e + (abs(self.m_even - o.bit_count()) >> 1) > self.limit):
             return
-        inc, shift, low = self.inc, self.shift, self.low
+        inc, bm, shift, low = self.inc, self.block_mask, self.shift, self.low
         keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
         s = sum([k >> shift for k in keys[:need]])
         if t - kill_bound(s, need * (need - 1) >> 1) <= best:
@@ -158,15 +199,21 @@ class _BranchAndBound:
                 return
             p = pts[i]
             ip = inc[p]
+            new = ip & x2
             Y.append(p)
-            self._rec(pts[i + 1:], Y, mask & ~ip, nt,
-                      x1, x2, e + (ip & x2).bit_count())
+            self._rec(pts[i + 1:], Y, mask & ~ip, nt, x1, x2,
+                      e + new.bit_count(), xm,
+                      o ^ (_xor_blocks(bm, new) & xm) if new else o)
             Y.pop()
             if self.truncated or self.at_ceiling:
                 return
             # p is excluded from here on (see the defect bound).
-            e += (ip & x1 & dead).bit_count()
-            if e > self._defects_allowed():
+            xm |= 1 << p
+            new = ip & x1 & dead
+            e += new.bit_count()
+            if new:
+                o ^= _xor_blocks(bm, new) & xm
+            if e + (abs(self.m_even - o.bit_count()) >> 1) > self.limit:
                 break
             x2 |= x1 & ip
             x1 |= ip
@@ -186,7 +233,7 @@ def exact_max_nonincident(
     bb = _BranchAndBound(d, node_budget, bound)
     if not bb.at_ceiling:
         full = d.all_blocks_mask()
-        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0)
+        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
     if bb.best > bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bound}"

@@ -61,6 +61,27 @@ class TestConstruct:
                  "--out", str(tmp_path / "x.json"))
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [("--out", "missing/x.json"),
+                                       ("--sub", "7", "--out", "d.json",
+                                        "--cert-out", "missing/c.json")],
+                             ids=["design", "certificate"])
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        assert run("construct", "--order", "19", *flags) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing/" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys):
+        # Before, a move budget of -1 ran out at once and exited 3 with
+        # "retry with another seed".
+        with pytest.raises(SystemExit) as exc:
+            run("construct", "--order", "21", "--sub", "9", "--budget", "-1",
+                "--out", str(tmp_path / "x.json"))
+        assert exc.value.code == EXIT_USAGE
+        assert "--budget: need an integer >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestBound:
     def test_prints_bound(self, capsys):
@@ -102,6 +123,14 @@ class TestFamilies:
     def test_classify_miss(self, capsys):
         assert run("families", "--classify", "15") == EXIT_OK
         assert capsys.readouterr().out.strip() == "none"
+
+    @pytest.mark.parametrize("zmax", ["-1", "x"])
+    def test_bad_zmax_is_usage_error(self, capsys, zmax):
+        # Before, -1 ended in a ValueError traceback.
+        with pytest.raises(SystemExit) as exc:
+            run("families", "--zmax", zmax)
+        assert exc.value.code == EXIT_USAGE
+        assert "--zmax: need an integer >= 0" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -182,6 +211,32 @@ class TestSearch:
         rc = run("search", "--design", str(design), "--budget", "5",
                  "--out", str(tmp_path / "r.json"))
         assert rc == EXIT_BUDGET
+
+    def test_budget_zero_and_negative(self, tmp_path, capsys):
+        # Greedy meets the Fano ceiling, so a budget of 0 still proves it;
+        # a negative budget was read as exhausted and exited 3.
+        design = tmp_path / "f.json"
+        report = tmp_path / "r.json"
+        design.write_text(Design.from_blocks(7, FANO_BLOCKS).canonical_json())
+        assert run("search", "--design", str(design), "--budget", "0",
+                   "--out", str(report)) == EXIT_OK
+        report.unlink()
+        with pytest.raises(SystemExit) as exc:
+            run("search", "--design", str(design), "--budget", "-1",
+                "--out", str(report))
+        assert exc.value.code == EXIT_USAGE
+        assert "--budget: need an integer >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_unwritable_report(self, tmp_path, capsys):
+        design = tmp_path / "f.json"
+        design.write_text(Design.from_blocks(7, FANO_BLOCKS).canonical_json())
+        rc = run("search", "--design", str(design),
+                 "--out", str(tmp_path / "missing" / "r.json"))
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "r.json" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestVerify:

@@ -80,14 +80,24 @@ class TestExactSearch:
                                                 (27, 15, 300_000),
                                                 (25, 13, 120_000),
                                                 (27, 15, 50_000),
-                                                (31, 18, 400_000)])
+                                                (31, 18, 400_000),
+                                                (25, 13, 80_000),
+                                                (27, 15, 30_000),
+                                                (31, 18, 120_000),
+                                                ("doubling15", 18, 50_000)])
     def test_ladder_pruning_strength(self, v, best, budget):
         # The first two budgets are below the 364,901 and 899,661 nodes
         # that the weaker Bonferroni bound S_j - lam*C(j,2) needs, so only
         # a bound at least as strong as the triple-counting one passes.
-        # The last three are below the 196,318, 254,717 and 1,813,164 nodes
+        # The next three are below the 196,318, 254,717 and 1,813,164 nodes
         # that the triple-counting bound needs without the defect bound.
-        d = build_sts(v, seed=1)
+        # The last four are below the 93,333, 36,434, 263,819 and 170,973
+        # nodes that the defect bound needs without its parity term; with
+        # it the search takes 64,813, 24,121, 93,979 and 36,324.
+        if v == "doubling15":
+            d = doubling(build_sts(15, seed=1))[0]
+        else:
+            d = build_sts(v, seed=1)
         rep = exact_max_nonincident(d, node_budget=budget)
         assert rep.exact
         assert rep.best_s == best
@@ -95,9 +105,10 @@ class TestExactSearch:
 
     @pytest.mark.slow
     def test_bose33_proved_within_budget(self):
-        # 14,458,809 nodes without the defect bound.
+        # 14,458,809 nodes without the defect bound, 3,257,763 with it but
+        # without its parity term, and 2,146,188 with both.
         d = bose(33)
-        rep = exact_max_nonincident(d, node_budget=4_000_000)
+        rep = exact_max_nonincident(d, node_budget=2_500_000)
         assert rep.exact
         assert rep.best_s == 19
         assert verify_certificate(d, rep.certificate, require_square=True)
@@ -247,6 +258,15 @@ class TestKillBound:
                 assert got >= kill_bound(smallest[j], q)
 
 
+def _third_points(d):
+    """third[a, b]: the third point of the block through a and b, if any."""
+    third = {}
+    for blk in d.blocks:
+        for a, b in combinations(blk, 2):
+            third[a, b] = third[b, a] = next(c for c in blk if c not in (a, b))
+    return third
+
+
 class TestDefectBound:
     @pytest.mark.parametrize(
         "make",
@@ -265,20 +285,27 @@ class TestDefectBound:
     )
     def test_every_superset_obeys_the_pair_count(self, make):
         # For random disjoint Y and X, with e the pairs of X whose block
-        # has its third point in Y, every Y' between Y and V - X has
-        # 3*t(Y') <= C(v - |Y'|, 2) - e.
+        # has its third point in Y, d_x those at x and o the x in X with d_x
+        # odd, every Y' between Y and V - X, with m' = v - |Y'|, has
+        # 3*t(Y') <= C(m', 2) - e - h, h = o/2 for odd m' and (m' - o)/2
+        # for even m' (the parity term of the defect bound).
         rng = random.Random(8)
         d = make(rng)
-        third = {}
-        for blk in d.blocks:
-            for a, b in combinations(blk, 2):
-                third[a, b] = next(c for c in blk if c not in (a, b))
+        third = _third_points(d)
         inc = d.point_incidence
         for trial in range(10):
             cut = rng.randrange(1, 4)
             picked = rng.sample(range(d.v), min(d.v, cut + rng.randrange(2, 7)))
             Y, X = picked[:cut], sorted(picked[cut:])
             e = sum(1 for ab in combinations(X, 2) if third.get(ab) in Y)
+            dx = [sum(1 for b in X if third.get((a, b)) in Y) for a in X]
+            assert sum(dx) == 2 * e
+            o = sum(k % 2 for k in dx)
+
+            def room(m):
+                h = o // 2 if m % 2 else (m - o) // 2
+                return m * (m - 1) // 2 - e - h
+
             free = [p for p in range(d.v) if p not in picked]
             base = d.all_blocks_mask()
             for p in Y:
@@ -288,20 +315,64 @@ class TestDefectBound:
                 low = J & -J
                 live[J] = live[J ^ low] & ~inc[free[low.bit_length() - 1]]
                 m = d.v - len(Y) - J.bit_count()
-                assert 3 * live[J].bit_count() <= m * (m - 1) // 2 - e
-            m = d.v - len(Y)
-            assert 3 * base.bit_count() <= m * (m - 1) // 2 - e
+                assert 3 * live[J].bit_count() <= room(m)
+            assert 3 * base.bit_count() <= room(d.v - len(Y))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bose(15),
+            lambda: doubling(build_sts(9, seed=1))[0],
+            lambda: build_sts(19, seed=1),
+            lambda: bose(21),
+        ],
+        ids=["bose15", "doubling9", "sts19", "bose21"],
+    )
+    def test_kept_counts_match_a_recount_at_every_node(self, make):
+        # The search keeps x1, x2, e and the odd-defect mask o as it goes;
+        # at every node they must equal a recount from Y and the excluded
+        # points xm alone, and Y, xm and the candidates split the points.
+        d = make()
+        third = _third_points(d)
+        seen = []
+
+        class Recounted(_BranchAndBound):
+            def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
+                X = [x for x in range(d.v) if xm >> x & 1]
+                assert sorted(X + Y + list(cands)) == list(range(d.v))
+                on = [len(set(blk) & set(X)) for blk in d.blocks]
+                assert x1 == sum(1 << i for i, k in enumerate(on) if k >= 1)
+                assert x2 == sum(1 << i for i, k in enumerate(on) if k >= 2)
+                defects = [ab for ab in combinations(X, 2) if third[ab] in Y]
+                odd = 0
+                for a, b in defects:
+                    odd ^= 1 << a | 1 << b
+                assert (e, o) == (len(defects), odd)
+                seen.append(o)
+                return super()._rec(cands, Y, mask, t, x1, x2, e, xm, o)
+
+        bb = Recounted(d, node_budget=10**6,
+                       bound=nonincidence_upper_bound(d.v))
+        assert not bb.at_ceiling
+        full = d.all_blocks_mask()
+        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
+        assert not bb.truncated
+        assert bb.best == exact_max_nonincident(d).best_s
+        assert len(seen) > 100 and any(seen)
 
     def test_set_meeting_the_count_is_kept(self):
         # The complement of a sub-STS(9) in an STS(21) has 12 points and 12
-        # blocks, and C(21 - 12, 2) = 3*12 with no defect: the count holds
-        # with equality.  From an incumbent of 11 the root must not be
-        # pruned, so a prune one defect too eager loses this set.
+        # blocks.  From an incumbent of 11, m = 21 - 11 - 1 = 9 is odd and
+        # the root has no excluded point, so o = 0, h = 0 and
+        # C(9, 2) = 3*12: the count holds with equality.  The root must not
+        # be pruned, so a prune one defect too eager, or the even-m parity
+        # term h = (9 - 0)/2 in place of o/2 = 0, loses this set.
         d = embed_subsystem(9, 21, seed=0).design
         bb = _BranchAndBound(d, node_budget=10**6, bound=12)
-        bb.best, bb.at_ceiling = 11, False
+        bb._incumbent(11, bb.best_Y, bb.best_mask)
+        bb.at_ceiling = False
         full = d.all_blocks_mask()
-        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0)
+        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
         assert bb.best == 12 and bb.at_ceiling
 
 
