@@ -82,8 +82,10 @@ def cmd_construct(args) -> int:
     except cons.BudgetExhausted as exc:
         print(f"error: {exc} (retry with another seed)", file=sys.stderr)
         return EXIT_BUDGET
+    wrote = False
     try:
         Path(args.out).write_text(design.canonical_json())
+        wrote = True
         log.info("wrote design order %d to %s", v, args.out)
         if cert is not None:
             cert_path = args.cert_out or _default_cert_path(args.out)
@@ -91,6 +93,9 @@ def cmd_construct(args) -> int:
             log.info("wrote certificate |Y|=%d |C|=%d to %s",
                      len(cert.Y), len(cert.C), cert_path)
     except OSError as exc:
+        # A design without the certificate it was built with is not kept.
+        if wrote:
+            Path(args.out).unlink(missing_ok=True)
         print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
@@ -134,12 +139,15 @@ def cmd_search(args) -> int:
         for problem in report_validity.problems():
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_FAIL
-    if args.greedy:
-        rep = srch.greedy_max_nonincident(d)
-    else:
-        rep = srch.exact_max_nonincident(d, node_budget=args.budget)
+    # The report path is opened before the search, so a path that cannot
+    # be written fails at once rather than after the search.
     try:
-        Path(args.out).write_text(rep.to_json())
+        with open(args.out, "w") as out:
+            if args.greedy:
+                rep = srch.greedy_max_nonincident(d)
+            else:
+                rep = srch.exact_max_nonincident(d, node_budget=args.budget)
+            out.write(rep.to_json())
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_FAIL

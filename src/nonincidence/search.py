@@ -12,9 +12,7 @@ such as a block subset of an STS.
 The exact search is one branch-and-bound.  Its incumbent starts from the
 greedy heuristic.  At each node every candidate's live degree is computed
 once, and children go in ascending degree order with t - degree as their
-t.  Ceiling stop: no such design beats nonincidence_upper_bound(v), so an
-incumbent meeting it is a proved maximum and the search stops there with
-exact=True.
+t.
 
 Counting bound, tested at one size.  A node with points Y can beat best
 only by adding need = best - |Y| + 1 or more candidates.  Adding points
@@ -28,7 +26,9 @@ on at most one block, so n2 + 3*n3 <= Q = C(need, 2).  Each of S - Q,
 blocks J kills, and their maximum K (see kill_bound) is the optimum of
 that linear program.  K never decreases as S grows, so S may be the sum
 of the need smallest live degrees, and the node is pruned when
-t - K <= best.
+t - K <= best.  K >= 0, so this also prunes a node with t <= best; a
+node with fewer than need candidates is pruned here or has no child that
+passes the sibling loop's size test.
 
 Defect bound, the paper's count inside the tree.  The excluded points X
 of a node are its earlier siblings at every depth: no set Y' reached
@@ -55,6 +55,13 @@ set inside V - X reaches best + 1 points and the size rule prunes the
 same node.  The limit C(m, 2) - 3*(best + 1) and m' change only with
 the incumbent, so they are set there.
 
+The paper's bound is this count at the root.  nonincidence_upper_bound(v)
+is the largest s with C(v - s, 2) >= 3*s, so an incumbent that meets it
+leaves a limit below 0 and every node is pruned: the incumbent is a proved
+maximum and the search ends with exact=True.  The search sets the limit
+to -1 at its ceiling, which is this bound or, at a family order, the
+bound lowered by the subsystem decision below.
+
 The search keeps e, o and X with bit operations: x1 and x2 hold the
 blocks with at least one and at least two excluded points, xm the
 excluded points, and the mask o the excluded points with d_x odd (its
@@ -69,11 +76,12 @@ exclusion, where it breaks the sibling loop: every set below a later
 sibling contains Y and avoids X and p, so the bound just tested covers
 it.
 
-Subsystem decision: at an equality-family order the ceiling s is reached
+Subsystem decision: at an equality-family order the bound s is reached
 iff the design has a sub-STS(w), w = v - s (see find_subsystem).  So the
 search first looks for one.  If it exists, its complement with its
 interior blocks is the incumbent and meets the ceiling at once; if not,
-the search stops at s - 1, which is then a proved maximum.
+the ceiling is lowered to s - 1, which is then a proved maximum once
+reached.
 """
 
 from __future__ import annotations
@@ -84,7 +92,7 @@ from dataclasses import asdict, dataclass
 from itertools import islice
 
 from .bounds import classify_equality_order, nonincidence_upper_bound
-from .design import Design, NonincidenceCertificate, _bits, is_subsystem
+from .design import Design, NonincidenceCertificate, _bits
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -138,32 +146,31 @@ class _BranchAndBound:
         self.node_budget = node_budget
         family = classify_equality_order(d.v)
         sub = None if family is None else find_subsystem(d, family.w)
-        self.stop_at = bound - 1 if family and sub is None else bound
+        self.ceiling = bound - 1 if family and sub is None else bound
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
         self.low = (1 << self.shift) - 1
         self.nodes = 0
         self.truncated = False
-        if sub is None:
-            warm = greedy_max_nonincident(d).certificate
-            self.best_Y, C = warm.Y, warm.C
-        else:
-            self.best_Y = tuple(sorted(set(range(d.v)).difference(sub)))
-            C = is_subsystem(d, sub)[1]
-        self._incumbent(min(len(self.best_Y), len(C)), self.best_Y,
-                        sum(1 << i for i in C))
-        self.at_ceiling = self.best >= self.stop_at
+        Y = (greedy_max_nonincident(d).certificate.Y if sub is None
+             else sorted(set(range(d.v)).difference(sub)))
+        mask = d.all_blocks_mask()
+        for p in Y:
+            mask &= ~self.inc[p]
+        self._incumbent(min(len(Y), mask.bit_count()), Y, mask)
 
     def _incumbent(self, value, Y, mask):
         """Take a new incumbent and the defect limit that beating it sets.
 
         A node is pruned when e + |m_even - o|/2 > limit: see the defect
-        bound in the module docstring.
+        bound in the module docstring.  At the ceiling the limit is -1,
+        so every node is pruned.
         """
         self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
         m = self.v - value - 1
-        self.limit = m * (m - 1) // 2 - 3 * (value + 1)
+        self.limit = (-1 if value >= self.ceiling
+                      else m * (m - 1) // 2 - 3 * (value + 1))
         self.m_even = 0 if m & 1 else m
 
     def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
@@ -171,15 +178,11 @@ class _BranchAndBound:
         value = min(y, t)
         if value > self.best:
             self._incumbent(value, Y, mask)
-            if value >= self.stop_at:
-                self.at_ceiling = True
-                return
+        if e + (abs(self.m_even - o.bit_count()) >> 1) > self.limit:
+            return
         best = self.best
         n = len(cands)
         need = best - y + 1
-        if (need > n or t <= best
-                or e + (abs(self.m_even - o.bit_count()) >> 1) > self.limit):
-            return
         inc, bm, shift, low = self.inc, self.block_mask, self.shift, self.low
         keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
         s = sum([k >> shift for k in keys[:need]])
@@ -205,7 +208,7 @@ class _BranchAndBound:
                       e + new.bit_count(), xm,
                       o ^ (_xor_blocks(bm, new) & xm) if new else o)
             Y.pop()
-            if self.truncated or self.at_ceiling:
+            if self.truncated:
                 return
             # p is excluded from here on (see the defect bound).
             xm |= 1 << p
@@ -225,20 +228,19 @@ def exact_max_nonincident(
     """Branch-and-bound maximum over all point sets; exact when the budget holds.
 
     Deterministic: the same design and budget give the same certificate
-    and node count.  Meeting the square ceiling ends the search early
-    with a proved maximum.
+    and node count.  An incumbent at the ceiling prunes every node left,
+    so the search ends early with a proved maximum.
     """
     start = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
     bb = _BranchAndBound(d, node_budget, bound)
-    if not bb.at_ceiling:
-        full = d.all_blocks_mask()
-        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
+    full = d.all_blocks_mask()
+    bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
     if bb.best > bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bound}"
         )
-    exact = bb.at_ceiling or not bb.truncated
+    exact = not bb.truncated
     meta = {"method": "exact", "exact": exact}
     cert = _make_certificate(d, bb.best_Y, bb.best_mask, bb.best, meta)
     return SearchReport(

@@ -71,6 +71,8 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing/" in err
         assert len(err.strip().splitlines()) == 1
+        # No design is left behind without its certificate.
+        assert not (tmp_path / "d.json").exists()
 
     def test_negative_budget_is_usage_error(self, tmp_path, capsys):
         # Before, a move budget of -1 ran out at once and exited 3 with
@@ -228,7 +230,12 @@ class TestSearch:
         assert "--budget: need an integer >= 0" in capsys.readouterr().err
         assert not report.exists()
 
-    def test_unwritable_report(self, tmp_path, capsys):
+    def test_unwritable_report(self, tmp_path, monkeypatch, capsys):
+        # The report path fails before any search starts.
+        def no_search(*args, **kwargs):
+            pytest.fail("searched before the report path was opened")
+
+        monkeypatch.setattr(cli.srch, "exact_max_nonincident", no_search)
         design = tmp_path / "f.json"
         design.write_text(Design.from_blocks(7, FANO_BLOCKS).canonical_json())
         rc = run("search", "--design", str(design),

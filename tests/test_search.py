@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -84,7 +85,8 @@ class TestExactSearch:
                                                 (25, 13, 80_000),
                                                 (27, 15, 30_000),
                                                 (31, 18, 120_000),
-                                                ("doubling15", 18, 50_000)])
+                                                ("doubling15", 18, 50_000),
+                                                ("bose21", 11, 400)])
     def test_ladder_pruning_strength(self, v, best, budget):
         # The first two budgets are below the 364,901 and 899,661 nodes
         # that the weaker Bonferroni bound S_j - lam*C(j,2) needs, so only
@@ -94,8 +96,12 @@ class TestExactSearch:
         # The last four are below the 93,333, 36,434, 263,819 and 170,973
         # nodes that the defect bound needs without its parity term; with
         # it the search takes 64,813, 24,121, 93,979 and 36,324.
+        # bose(21) has no sub-STS(9), so its ceiling is lowered from 12 to
+        # 11: the search takes 222 nodes, and 651 without the lowering.
         if v == "doubling15":
             d = doubling(build_sts(15, seed=1))[0]
+        elif v == "bose21":
+            d = bose(21)
         else:
             d = build_sts(v, seed=1)
         rep = exact_max_nonincident(d, node_budget=budget)
@@ -135,6 +141,17 @@ class TestExactSearch:
         rep = exact_max_nonincident(d)
         assert rep.best_s == rep.bound_used == 12
         assert rep.exact
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    def test_ceiling_met_inside_the_tree(self):
+        # v=15 is no family order and greedy stops at 6, below the ceiling
+        # of 7, so the search itself reaches 7.  The limit that incumbent
+        # sets prunes every node left: the search ends after 13 nodes.
+        d = relabel(embed_subsystem(7, 15, seed=0).design, 0)
+        assert greedy_max_nonincident(d).best_s == 6
+        rep = exact_max_nonincident(d)
+        assert rep.best_s == rep.bound_used == 7
+        assert rep.exact and rep.nodes_visited == 13
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     def test_warm_start_never_below_greedy(self):
@@ -353,7 +370,7 @@ class TestDefectBound:
 
         bb = Recounted(d, node_budget=10**6,
                        bound=nonincidence_upper_bound(d.v))
-        assert not bb.at_ceiling
+        assert bb.best < bb.ceiling
         full = d.all_blocks_mask()
         bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
         assert not bb.truncated
@@ -370,10 +387,22 @@ class TestDefectBound:
         d = embed_subsystem(9, 21, seed=0).design
         bb = _BranchAndBound(d, node_budget=10**6, bound=12)
         bb._incumbent(11, bb.best_Y, bb.best_mask)
-        bb.at_ceiling = False
+        assert bb.limit == 0
         full = d.all_blocks_mask()
         bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
-        assert bb.best == 12 and bb.at_ceiling
+        assert bb.best == bb.ceiling == 12 and bb.limit == -1
+
+    def test_paper_bound_is_the_count_at_the_root(self):
+        # With no defect, an incumbent at F = nonincidence_upper_bound(v)
+        # leaves m = v - F - 1 points, too few to hold F + 1 blocks, so
+        # its limit is negative and every node is pruned; F itself still
+        # passes the count.  So the ceiling is where the limit turns
+        # negative, and the search needs no separate stop.
+        for v in range(1, 100_001):
+            if v % 6 in (1, 3):
+                f = nonincidence_upper_bound(v)
+                assert (comb(v - f - 1, 2) - 3 * (f + 1) < 0
+                        <= comb(v - f, 2) - 3 * f)
 
 
 def _has_subsystem(d, w):
