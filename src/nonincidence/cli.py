@@ -141,16 +141,25 @@ def cmd_search(args) -> int:
         return EXIT_FAIL
     # The report path is opened before the search, so a path that cannot
     # be written fails at once rather than after the search.
+    out = None
     try:
-        with open(args.out, "w") as out:
+        out = open(args.out, "w")
+        with out:
             if args.greedy:
                 rep = srch.greedy_max_nonincident(d)
             else:
                 rep = srch.exact_max_nonincident(d, node_budget=args.budget)
             out.write(rep.to_json())
+        out = None
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        # A report that was opened but not finished, because the search
+        # raised or was interrupted or the write failed, is removed; an
+        # --out that is no regular file, such as /dev/null, is left alone.
+        if out is not None and Path(args.out).is_file():
+            Path(args.out).unlink(missing_ok=True)
     print(f"best_s={rep.best_s} exact={rep.exact} bound={rep.bound_used} "
           f"nodes={rep.nodes_visited}")
     if not args.greedy and not rep.exact:

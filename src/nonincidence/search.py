@@ -7,7 +7,9 @@ So the search maximizes min(|Y|, t(Y)), where t(Y) counts the live blocks
 
 Every rule below rests on one fact that each Design guarantees: no pair
 of points lies on two blocks.  So the search takes an STS or a partial one,
-such as a block subset of an STS.
+such as a block subset of an STS.  Its order must be 1 or 3 mod 6, the
+orders the paper's bound is defined for: at any other order both searches
+raise ValueError from nonincidence_upper_bound.
 
 The exact search is one branch-and-bound.  Its incumbent starts from the
 greedy heuristic.  At each node every candidate's live degree is computed
@@ -99,7 +101,14 @@ DEFAULT_NODE_BUDGET = 100_000_000
 
 @dataclass
 class SearchReport:
-    """Outcome of one search run over a single design."""
+    """Outcome of one search run over a single design.
+
+    nodes_visited counts the search's steps.  For method "exact" these are
+    the children the branch-and-bound counted against its node budget:
+    0 when the warm start already meets the ceiling, and budget + 1 when
+    the budget runs out.  For method "greedy" they are the points greedy
+    took, which equals best_s.
+    """
 
     best_s: int
     certificate: NonincidenceCertificate
@@ -133,9 +142,47 @@ def _xor_blocks(block_mask, blocks: int) -> int:
     return z
 
 
-def _make_certificate(d: Design, Y, disjoint_mask: int, s: int, meta):
-    blocks = list(islice(_bits(disjoint_mask), s))
-    return NonincidenceCertificate.build(d, sorted(Y)[:s], blocks, meta=meta)
+def _greedy(d: Design) -> tuple[list[int], int]:
+    """Greedy's point set Y and the mask of the blocks avoiding it.
+
+    Y takes the point of lowest live degree, ties to the lower index, and
+    stops before the first step that would leave t at or below the
+    current |Y|.  Until then min(|Y|, t) = |Y| rises by one a step; from
+    then on it is at most t, which adding points never raises, so Y is
+    the best set on the path.
+    """
+    inc = d.point_incidence
+    shift = d.v.bit_length()
+    mask = d.all_blocks_mask()
+    Y: list[int] = []
+    rest = set(range(d.v))
+    while rest:
+        key = min(((inc[q] & mask).bit_count() << shift) | q for q in rest)
+        p = key & ((1 << shift) - 1)
+        left = mask & ~inc[p]
+        if left.bit_count() <= len(Y):
+            break
+        Y.append(p)
+        rest.remove(p)
+        mask = left
+    return Y, mask
+
+
+def _report(d: Design, method: str, start: float, bound: int, best: int,
+            Y, mask: int, exact: bool, nodes: int) -> SearchReport:
+    """The report of a search whose best set Y leaves the blocks in mask."""
+    blocks = list(islice(_bits(mask), best))
+    cert = NonincidenceCertificate.build(
+        d, sorted(Y)[:best], blocks, meta={"method": method, "exact": exact})
+    return SearchReport(
+        best_s=best,
+        certificate=cert,
+        exact=exact,
+        nodes_visited=nodes,
+        elapsed_seconds=time.perf_counter() - start,
+        bound_used=bound,
+        method=method,
+    )
 
 
 class _BranchAndBound:
@@ -153,11 +200,13 @@ class _BranchAndBound:
         self.low = (1 << self.shift) - 1
         self.nodes = 0
         self.truncated = False
-        Y = (greedy_max_nonincident(d).certificate.Y if sub is None
-             else sorted(set(range(d.v)).difference(sub)))
-        mask = d.all_blocks_mask()
-        for p in Y:
-            mask &= ~self.inc[p]
+        if sub is None:
+            Y, mask = _greedy(d)
+        else:
+            Y = sorted(set(range(d.v)).difference(sub))
+            mask = d.all_blocks_mask()
+            for p in Y:
+                mask &= ~self.inc[p]
         self._incumbent(min(len(Y), mask.bit_count()), Y, mask)
 
     def _incumbent(self, value, Y, mask):
@@ -240,55 +289,21 @@ def exact_max_nonincident(
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bound}"
         )
-    exact = not bb.truncated
-    meta = {"method": "exact", "exact": exact}
-    cert = _make_certificate(d, bb.best_Y, bb.best_mask, bb.best, meta)
-    return SearchReport(
-        best_s=bb.best,
-        certificate=cert,
-        exact=exact,
-        nodes_visited=bb.nodes,
-        elapsed_seconds=time.perf_counter() - start,
-        bound_used=bound,
-        method="exact",
-    )
+    return _report(d, "exact", start, bound, bb.best, bb.best_Y,
+                   bb.best_mask, not bb.truncated, bb.nodes)
 
 
 def greedy_max_nonincident(d: Design) -> SearchReport:
     """Heuristic lower bound: always add the point killing fewest live blocks.
 
-    Ties break by point index, so the result is deterministic.
+    Ties break by point index, so the result is deterministic.  Greedy
+    stops at its peak (see _greedy), so nodes_visited, the points it
+    took, equals best_s.
     """
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     bound = nonincidence_upper_bound(d.v)
-    inc = d.point_incidence
-    shift = d.v.bit_length()
-    low = (1 << shift) - 1
-    mask = d.all_blocks_mask()
-    Y: list[int] = []
-    taken: set[int] = set()
-    best, best_Y, best_mask = 0, (), mask
-    while len(Y) < d.v and mask:
-        key = min(((inc[q] & mask).bit_count() << shift) | q
-                  for q in range(d.v) if q not in taken)
-        p = key & low
-        Y.append(p)
-        taken.add(p)
-        mask &= ~inc[p]
-        value = min(len(Y), mask.bit_count())
-        if value > best:
-            best, best_Y, best_mask = value, tuple(Y), mask
-    meta = {"method": "greedy", "exact": False}
-    cert = _make_certificate(d, best_Y, best_mask, best, meta)
-    return SearchReport(
-        best_s=best,
-        certificate=cert,
-        exact=False,
-        nodes_visited=len(Y),
-        elapsed_seconds=time.perf_counter() - t0,
-        bound_used=bound,
-        method="greedy",
-    )
+    Y, mask = _greedy(d)
+    return _report(d, "greedy", start, bound, len(Y), Y, mask, False, len(Y))
 
 
 def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:

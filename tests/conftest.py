@@ -1,9 +1,10 @@
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import pytest
 
-from nonincidence import BudgetExhausted, Design
+from nonincidence import BudgetExhausted, Design, NonincidenceCertificate
 from nonincidence.design import _bits, _point_mask
 
 # Hand-written reference systems, independent of the package's builders.
@@ -62,6 +63,37 @@ def brute_force_oracle(d) -> int:
         if val > best:
             best = val
     return best
+
+
+# Greedy as it was before it stopped at its peak: it runs until every
+# block is dead and keeps the best set it passed.  Kept as the reference
+# that the current greedy must match certificate for certificate.
+
+
+def reference_greedy(d: Design) -> tuple[int, NonincidenceCertificate]:
+    """(best_s, certificate) of the greedy loop that runs to the end."""
+    inc = d.point_incidence
+    shift = d.v.bit_length()
+    low = (1 << shift) - 1
+    mask = d.all_blocks_mask()
+    Y: list[int] = []
+    taken: set[int] = set()
+    best, best_Y, best_mask = 0, (), mask
+    while len(Y) < d.v and mask:
+        key = min(((inc[q] & mask).bit_count() << shift) | q
+                  for q in range(d.v) if q not in taken)
+        p = key & low
+        Y.append(p)
+        taken.add(p)
+        mask &= ~inc[p]
+        value = min(len(Y), mask.bit_count())
+        if value > best:
+            best, best_Y, best_mask = value, tuple(Y), mask
+    meta = {"method": "greedy", "exact": False}
+    blocks = list(islice(_bits(best_mask), best))
+    cert = NonincidenceCertificate.build(d, sorted(best_Y)[:best], blocks,
+                                         meta=meta)
+    return best, cert
 
 
 # Point-set statistics that only the tests use.

@@ -245,6 +245,21 @@ class TestSearch:
         assert err.startswith("error:") and "r.json" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_failed_search_leaves_no_report(self, tmp_path, monkeypatch, exc):
+        # The report is opened before the search, so a search that raises
+        # or is interrupted must remove it rather than leave it empty.
+        def broken(*args, **kwargs):
+            raise exc("search stopped")
+
+        monkeypatch.setattr(cli.srch, "exact_max_nonincident", broken)
+        design = tmp_path / "f.json"
+        design.write_text(Design.from_blocks(7, FANO_BLOCKS).canonical_json())
+        with pytest.raises(exc):
+            run("search", "--design", str(design),
+                "--out", str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestVerify:
     @pytest.fixture

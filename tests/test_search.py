@@ -20,7 +20,7 @@ from nonincidence import (
     verify_certificate,
 )
 from nonincidence.search import _BranchAndBound, kill_bound
-from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle
+from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle, reference_greedy
 
 
 def relabel(d, seed):
@@ -108,6 +108,23 @@ class TestExactSearch:
         assert rep.exact
         assert rep.best_s == best
         assert rep.nodes_visited <= budget
+
+    @pytest.mark.parametrize(
+        "make,nodes",
+        [
+            (lambda: doubling(build_sts(9, seed=1))[0], 140),
+            (lambda: build_sts(19, seed=1), 1_996),
+            (lambda: build_sts(27, seed=1), 24_121),
+        ],
+        ids=["doubling9", "sts19", "sts27"],
+    )
+    def test_ladder_node_counts(self, make, nodes):
+        # The search is deterministic, so a change to its warm start, child
+        # order or pruning that should leave it alone must keep these
+        # counts, not only fit the budgets above.
+        rep = exact_max_nonincident(make())
+        assert rep.exact
+        assert rep.nodes_visited == nodes
 
     @pytest.mark.slow
     def test_bose33_proved_within_budget(self):
@@ -482,6 +499,56 @@ class TestGreedy:
         d = bose(27)
         rep = greedy_max_nonincident(d)
         assert rep.best_s <= rep.bound_used == nonincidence_upper_bound(27)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: Design.from_blocks(7, FANO_BLOCKS),
+            lambda rng: Design.from_blocks(9, AG23_BLOCKS),
+            lambda rng: build_sts(13, seed=11),
+            lambda rng: bose(15),
+            lambda rng: build_sts(25, seed=0),
+            lambda rng: bose(99),
+            lambda rng: embed_subsystem(9, 21, seed=0).design,
+            lambda rng: relabel(embed_subsystem(7, 15, seed=0).design, 0),
+            lambda rng: embed_subsystem(21, 91, seed=1).design,
+            lambda rng: doubling(build_sts(9, seed=1))[0],
+            lambda rng: doubling(bose(45))[0],
+            lambda rng: Design.from_blocks(
+                13, rng.sample(build_sts(13, seed=3).blocks, 15)),
+            lambda rng: Design.from_blocks(
+                21, rng.sample(bose(21).blocks, 40)),
+            lambda rng: Design.from_blocks(
+                27, rng.sample(build_sts(27, seed=2).blocks, 100)),
+            lambda rng: Design.from_blocks(7, []),
+            lambda rng: Design.from_blocks(1, []),
+        ],
+        ids=["fano", "ag23", "sts13", "bose15", "sts25", "bose99",
+             "embed9_21", "embed7_15", "embed21_91", "doubling9",
+             "doubling45", "sts13_subset", "bose21_subset",
+             "sts27_subset", "empty7", "empty1"],
+    )
+    def test_matches_the_loop_that_ran_to_the_end(self, make):
+        # Greedy stops before the step that would leave t <= |Y|; the
+        # reference runs until every block is dead and keeps its best set.
+        # Both must give the same certificate, and greedy takes exactly
+        # best_s points.
+        d = make(random.Random(6))
+        best, cert = reference_greedy(d)
+        rep = greedy_max_nonincident(d)
+        assert rep.best_s == best
+        assert rep.certificate == cert
+        assert rep.nodes_visited == rep.best_s
+
+
+@pytest.mark.parametrize("search", [exact_max_nonincident,
+                                    greedy_max_nonincident])
+def test_order_must_be_1_or_3_mod_6(search):
+    # A partial system of order 8 is a valid Design, but the paper's bound
+    # is defined only at orders 1 or 3 mod 6, and both searches use it.
+    d = Design.from_blocks(8, [(0, 1, 2), (0, 3, 4), (5, 6, 7)])
+    with pytest.raises(ValueError, match="order 8 is not"):
+        search(d)
 
 
 class TestBruteForce:
