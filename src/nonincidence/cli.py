@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification/validation failure or a file that
 cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
-4 certificate digest mismatch.
+4 certificate digest mismatch.  Usage errors include a negative --budget,
+--seed or --zmax, and construct given both --sub and --double-from.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def cmd_construct(args) -> int:
                 print(f"error: doubling STS({w}) gives order {2 * w + 1}, not {v}",
                       file=sys.stderr)
                 return EXIT_USAGE
-            sub = cons.build_sts(w, seed=args.seed)
+            sub = cons.build_sts(w, seed=args.seed, move_budget=args.budget)
             design, arc = cons.doubling(sub)
             _, interior = is_subsystem(design, range(w))
             cert = NonincidenceCertificate.build(
@@ -75,7 +76,7 @@ def cmd_construct(args) -> int:
             design = emb.design
             cert = cons.subsystem_complement_certificate(emb)
         else:
-            design = cons.build_sts(v, seed=args.seed)
+            design = cons.build_sts(v, seed=args.seed, move_budget=args.budget)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -227,12 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build an STS and optional certificate")
     c.add_argument("--order", type=int, required=True)
-    c.add_argument("--sub", type=int, help="embed a sub-STS of this order")
-    c.add_argument("--double-from", type=int,
-                   help="double an STS of this order (order must be 2w+1)")
-    c.add_argument("--seed", type=int, default=0)
+    how = c.add_mutually_exclusive_group()
+    how.add_argument("--sub", type=int, help="embed a sub-STS of this order")
+    how.add_argument("--double-from", type=int,
+                     help="double an STS of this order (order must be 2w+1)")
+    c.add_argument("--seed", type=_count, default=0)
     c.add_argument("--budget", type=_count, default=cons.DEFAULT_MOVE_BUDGET,
-                   help="hill-climbing move budget")
+                   help="move budget of each hill-climb")
     c.add_argument("--out", required=True)
     c.add_argument("--cert-out")
     c.set_defaults(func=cmd_construct)

@@ -104,9 +104,19 @@ def _hill_climb(
 
     ``unc[x]`` is x's uncovered partners in ascending order, kept up to
     date by each insertion and eviction: the list a scan of x's row for
-    uncovered pairs would build.  So the calls on ``rng``, and therefore
-    the blocks, are those of that scan.  No pair is covered twice, so x
-    has full degree exactly when ``unc[x]`` is empty.
+    uncovered pairs would build.  No pair is covered twice, so x has full
+    degree exactly when ``unc[x]`` is empty.
+
+    Every draw is rejection sampling on ``rng.getrandbits``: the point x
+    takes k = v.bit_length() bits until a value below v comes up, which is
+    what ``rng.randrange(v)`` does.  The pair from the n = len(unc[x])
+    partners is drawn as ``rng.sample(unc[x], 2)`` draws it.  Index i
+    comes first, below n.  For two items out of n <= 21, sample works on
+    a copy of the list whose slot i takes the last partner, so j is drawn
+    below n - 1 and j == i stands for partners[n-1].  For larger n it
+    draws j below n again until j != i.  So the calls on ``rng``, and
+    therefore the blocks, are those of the row scan with those two
+    methods, while the designs depend only on the generator's bit stream.
     """
     target = v * (v - 1) // 6
     cover: list[list[tuple[int, int, int] | None]] = [[None] * v for _ in range(v)]
@@ -146,6 +156,8 @@ def _hill_climb(
     for blk in fixed_blocks:
         add(blk)
 
+    getrandbits = rng.getrandbits
+    kv = v.bit_length()
     moves = evictions = 0
     while len(blocks) < target:
         moves += 1
@@ -153,11 +165,30 @@ def _hill_climb(
             raise BudgetExhausted(
                 f"no STS({v}) completion within {move_budget} moves"
             )
-        x = rng.randrange(v)
+        x = getrandbits(kv)
+        while x >= v:
+            x = getrandbits(kv)
         partners = unc[x]
         if not partners:
             continue
-        y, z = rng.sample(partners, 2)
+        n = len(partners)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        y = partners[i]
+        if n <= 21:
+            n -= 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            z = partners[n if j == i else j]
+        else:
+            j = getrandbits(k)
+            while j >= n or j == i:
+                j = getrandbits(k)
+            z = partners[j]
         displaced = cover[y][z]
         if displaced is not None:
             if displaced in fixed:
@@ -179,14 +210,17 @@ def embed_subsystem(
     The sub-design is built directly, then the remaining pairs are
     completed by hill-climbing that never touches the frozen sub-blocks.
     Deterministic for a given (w, v, seed); meta records the climb's
-    moves and evictions.
+    moves and evictions.  move_budget bounds each climb: the sub-design's,
+    when build_sts climbs for it, and the completion's.
     """
     if v % 6 not in (1, 3) or w % 6 not in (1, 3):
         raise ValueError(f"orders ({w}, {v}) must both be 1 or 3 mod 6")
     if w < 1 or v < 2 * w + 1:
         raise ValueError(f"an STS({v}) cannot properly contain a sub-STS({w})")
     rng = random.Random(seed)
-    sub_blocks = [] if w < 3 else list(build_sts(w, seed=rng.randrange(2**32)).blocks)
+    sub_blocks = [] if w < 3 else list(
+        build_sts(w, seed=rng.randrange(2**32), move_budget=move_budget).blocks
+    )
     blocks, moves, evictions = _hill_climb(v, sub_blocks, rng, move_budget)
     d = Design.from_blocks(v, blocks)
     fixed = set(sub_blocks)
@@ -200,15 +234,20 @@ def embed_subsystem(
     )
 
 
-def build_sts(v: int, seed: int = 0) -> Design:
-    """Some STS(v): Bose when v = 3 mod 6, hill-climbing when v = 1 mod 6."""
+def build_sts(
+    v: int, seed: int = 0, move_budget: int = DEFAULT_MOVE_BUDGET
+) -> Design:
+    """Some STS(v): Bose when v = 3 mod 6, hill-climbing when v = 1 mod 6.
+
+    move_budget bounds the climb; Bose makes no moves.
+    """
     if v % 6 not in (1, 3) or v < 1:
         raise ValueError(f"no STS of order {v} exists")
     if v == 1:
         return Design.from_blocks(1, [])
     if v % 6 == 3:
         return bose(v)
-    return embed_subsystem(3, v, seed=seed).design
+    return embed_subsystem(3, v, seed=seed, move_budget=move_budget).design
 
 
 def subsystem_complement_certificate(e: EmbeddedDesign):

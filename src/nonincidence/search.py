@@ -105,9 +105,9 @@ class SearchReport:
 
     nodes_visited counts the search's steps.  For method "exact" these are
     the children the branch-and-bound counted against its node budget:
-    0 when the warm start already meets the ceiling, and budget + 1 when
-    the budget runs out.  For method "greedy" they are the points greedy
-    took, which equals best_s.
+    0 when the warm start already meets the ceiling, and the budget itself
+    when the budget runs out, so a report never exceeds its budget.  For
+    method "greedy" they are the points greedy took, which equals best_s.
     """
 
     best_s: int
@@ -245,10 +245,10 @@ class _BranchAndBound:
             nt = t - (k >> shift)
             if nt <= self.best:
                 break
-            self.nodes += 1
-            if self.nodes > self.node_budget:
+            if self.nodes == self.node_budget:
                 self.truncated = True
                 return
+            self.nodes += 1
             p = pts[i]
             ip = inc[p]
             new = ip & x2

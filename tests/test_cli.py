@@ -51,10 +51,50 @@ class TestConstruct:
         assert rc == EXIT_USAGE
         assert "inadmissible" in capsys.readouterr().err
 
-    def test_budget_exhaustion_exit_code(self, tmp_path):
-        rc = run("construct", "--order", "21", "--sub", "9",
-                 "--budget", "2", "--out", str(tmp_path / "x.json"))
-        assert rc == EXIT_BUDGET
+    def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
+        # The budget bounds every climb: STS(25) and the doubling input
+        # STS(13) are hill-climbed too.
+        for flags in [("--order", "21", "--sub", "9", "--budget", "2"),
+                      ("--order", "25", "--budget", "1"),
+                      ("--order", "27", "--double-from", "13", "--budget", "1")]:
+            rc = run("construct", *flags, "--out", str(tmp_path / "x.json"))
+            assert rc == EXIT_BUDGET, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+            assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [("--order", "25"),
+                                       ("--order", "27", "--double-from", "13"),
+                                       ("--order", "21", "--sub", "9")],
+                             ids=["build", "doubling", "sub"])
+    def test_budget_changes_no_draw(self, tmp_path, flags):
+        # A budget only stops a climb, so the default budget and one that
+        # is smaller but still enough write the same bytes.
+        for name, extra in [("a", ()), ("b", ("--budget", "100000"))]:
+            out = tmp_path / name / "d.json"
+            out.parent.mkdir()
+            assert run("construct", *flags, "--seed", "3", *extra,
+                       "--out", str(out)) == EXIT_OK
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in files:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--sub", "7", "--double-from", "9"), "not allowed with argument"),
+        (("--seed", "-1"), "--seed: need an integer >= 0"),
+    ], ids=["sub-and-double", "negative-seed"])
+    def test_dropped_option_is_usage_error(self, tmp_path, capsys, flags, message):
+        # Either would drop an option silently: --sub beside --double-from
+        # would be ignored, and random.Random seeds with abs(), so --seed -1
+        # would build the design of --seed 1.
+        with pytest.raises(SystemExit) as exc:
+            run("construct", "--order", "19", *flags,
+                "--out", str(tmp_path / "x.json"))
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_mismatched_doubling_order(self, tmp_path):
         rc = run("construct", "--order", "21", "--double-from", "9",

@@ -57,10 +57,13 @@ class TestExactSearch:
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     def test_budget_truncation_flagged(self):
+        # The budget is tested before a child is counted, so a truncated
+        # search reports exactly its budget, never one node more.
         d = bose(15)
-        rep = exact_max_nonincident(d, node_budget=10)
-        assert not rep.exact
-        assert rep.nodes_visited >= 10
+        for budget in (0, 1, 5, 10):
+            rep = exact_max_nonincident(d, node_budget=budget)
+            assert not rep.exact
+            assert rep.nodes_visited == budget
 
     def test_reproducible_single_worker(self):
         d = build_sts(13, seed=4)
