@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification/validation failure or a file that
 cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
 4 certificate digest mismatch.  Usage errors include a negative --budget,
---seed or --zmax, and construct given both --sub and --double-from.
+--seed or --zmax, construct given both --sub and --double-from, an
+inadmissible order, and --sub 1, whose sub-design has no block to certify.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ def _load_design(path: str) -> Design:
 
 def cmd_construct(args) -> int:
     v = args.order
-    if v % 6 not in (1, 3) or v < 1:
-        print(f"error: order {v} is inadmissible (need 1 or 3 mod 6)",
-              file=sys.stderr)
-        return EXIT_USAGE
     cert = None
     try:
         if args.double_from is not None:

@@ -212,9 +212,18 @@ def embed_subsystem(
     Deterministic for a given (w, v, seed); meta records the climb's
     moves and evictions.  move_budget bounds each climb: the sub-design's,
     when build_sts climbs for it, and the completion's.
+
+    Near v = 2w + 1 the completion often stalls and spends its whole
+    budget: at a 200,000-move budget, (15, 33) fails at seeds 1 and 2 of
+    0-7 and (21, 49) at seeds 1, 4 and 5.  An outside point whose missing
+    partners are two sub-design points can never move, because the block
+    through that pair is frozen; in the stalled (15, 33) seed-1 climb,
+    outside points 20, 21 and 27 each miss two of the sub points 0, 12
+    and 13.  BudgetExhausted is then the answer; retry another seed.
     """
     if v % 6 not in (1, 3) or w % 6 not in (1, 3):
-        raise ValueError(f"orders ({w}, {v}) must both be 1 or 3 mod 6")
+        raise ValueError(
+            f"orders ({w}, {v}) are inadmissible: both must be 1 or 3 mod 6")
     if w < 1 or v < 2 * w + 1:
         raise ValueError(f"an STS({v}) cannot properly contain a sub-STS({w})")
     rng = random.Random(seed)
@@ -242,7 +251,7 @@ def build_sts(
     move_budget bounds the climb; Bose makes no moves.
     """
     if v % 6 not in (1, 3) or v < 1:
-        raise ValueError(f"no STS of order {v} exists")
+        raise ValueError(f"order {v} is inadmissible (need v >= 1, 1 or 3 mod 6)")
     if v == 1:
         return Design.from_blocks(1, [])
     if v % 6 == 3:
@@ -255,8 +264,13 @@ def subsystem_complement_certificate(e: EmbeddedDesign):
 
     Y is everything outside the sub-design, C its interior blocks;
     C is trimmed to |Y| entries when the subsystem has more blocks than
-    there are outside points, so the claim stays square.
+    there are outside points, so the claim stays square.  Raises
+    ValueError when the subsystem has no block (a sub-STS(1)): the
+    certificate would be empty, and verification refuses an empty one.
     """
+    if not e.sub_blocks:
+        raise ValueError(
+            f"a sub-STS({len(e.sub_points)}) has no block to certify")
     d = e.design
     sub = set(e.sub_points)
     outside = [p for p in range(d.v) if p not in sub]

@@ -5,6 +5,13 @@ as sorted tuples; the block list is kept in lexicographic order so that a
 design has exactly one canonical serialization.  Incidence is kept twice,
 as arbitrary-width integer bitmasks: one mask over blocks per point and
 one mask over points per block.
+
+Pair questions are answered from the point masks by two rules.  The pair
+rule: points x and y lie on a common block iff ``point_incidence[x] &
+point_incidence[y]`` is nonzero, and since no pair lies on two blocks that
+block is unique.  The count rule: k distinct blocks hold 3k distinct
+pairs, so blocks inside a w-point set cover every pair of it exactly when
+there are w(w-1)/6 of them.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ class Design:
     also rules out a repeated block: a design is an STS or a partial one.
     Whether every pair is covered is checked separately by
     :func:`validate_design` so that partial designs can be inspected.
+
+    The repeated-pair check is the pair rule applied block by block in
+    canonical order: before block i sets its bits, a nonzero AND of two
+    of its points' masks names a pair that an earlier block holds.
     """
 
     v: int
@@ -60,23 +71,18 @@ class Design:
             canon.append(pts)
         canon.sort()
         point_inc = [0] * v
-        # Each point with its neighbours.  A point on k blocks has 2k
-        # neighbours when no pair through it repeats and fewer otherwise,
-        # so the masks hold v + 6b bits in all exactly when no pair repeats.
-        nbrs = [1 << p for p in range(v)]
         block_mask = []
         for i, (a, b, c) in enumerate(canon):
+            # Two points share an earlier block iff their masks meet.
+            pa, pb, pc = point_inc[a], point_inc[b], point_inc[c]
+            if pa & pb or pa & pc or pb & pc:
+                pair = (a, b) if pa & pb else (a, c) if pa & pc else (b, c)
+                raise DesignError(f"pair {pair} lies on two blocks")
             bit = 1 << i
-            m = 1 << a | 1 << b | 1 << c
-            point_inc[a] |= bit
-            point_inc[b] |= bit
-            point_inc[c] |= bit
-            nbrs[a] |= m
-            nbrs[b] |= m
-            nbrs[c] |= m
-            block_mask.append(m)
-        if sum(map(int.bit_count, nbrs)) != v + 6 * len(canon):
-            raise DesignError(f"pair {_repeated_pair(canon)} lies on two blocks")
+            point_inc[a] = pa | bit
+            point_inc[b] = pb | bit
+            point_inc[c] = pc | bit
+            block_mask.append(1 << a | 1 << b | 1 << c)
         return cls(v, tuple(canon), tuple(point_inc), tuple(block_mask))
 
     @property
@@ -120,16 +126,6 @@ def _point_mask(d: Design, points) -> int:
     return m
 
 
-def _repeated_pair(blocks) -> tuple[int, int]:
-    """The first pair, in block order, that lies on two of the sorted blocks."""
-    seen = set()
-    for a, b, c in blocks:
-        for pair in ((a, b), (a, c), (b, c)):
-            if pair in seen:
-                return pair
-            seen.add(pair)
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -166,18 +162,18 @@ class ValidityReport:
 def validate_design(d: Design) -> ValidityReport:
     """Check whether d is an STS(v); reports every violated invariant.
 
-    No pair repeats, so a point on fewer than (v-1)/2 blocks is the only
-    kind that misses a pair, and the block count and the replication
-    number are right exactly when no pair is missed.
+    No pair repeats, so a point on k blocks has 2k partners: one on fewer
+    than (v-1)/2 blocks is the only kind that misses a pair, and the block
+    count and the replication number are right exactly when no pair is
+    missed.  By the pair rule, a deficient x misses y iff their masks are
+    disjoint.
     """
     v = d.v
+    inc = d.point_incidence
     uncovered = []
-    for x, inc in enumerate(d.point_incidence):
-        if 2 * inc.bit_count() < v - 1:
-            seen = 0
-            for i in _bits(inc):
-                seen |= d.block_mask[i]
-            uncovered.extend((x, y) for y in range(x + 1, v) if not seen >> y & 1)
+    for x, ix in enumerate(inc):
+        if 2 * ix.bit_count() < v - 1:
+            uncovered.extend((x, y) for y in range(x + 1, v) if not ix & inc[y])
     return ValidityReport(
         v=v,
         admissible_order=v % 6 in (1, 3),
@@ -297,21 +293,17 @@ def verify_certificate(
 
 
 def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
-    """Whether the blocks inside the point set form an STS on it.
+    """Whether the blocks inside the nonempty point set form an STS on it.
 
-    This holds iff no block meets the set in exactly 2 points, the set
-    size w is an admissible order and w(w-1)/6 blocks lie inside (in a
-    valid STS the last follows from the first).  Interior block indices
-    are returned either way.
+    By the count rule this holds iff w(w-1)/6 blocks lie inside the
+    w-point set: they then cover each of its pairs once.  That alone
+    implies the rest.  No block meets the set in exactly 2 points, since
+    that pair is already covered inside.  And w is an admissible order:
+    the blocks through a point of the set pair up its w - 1 partners, so
+    w is odd, and 6 divides w(w-1), so w is 1 or 3 mod 6.
+    Interior block indices are returned either way.
     """
     zmask = _point_mask(d, points)
     w = zmask.bit_count()
-    interior = []
-    ok = w % 6 in (1, 3)
-    for i, m in enumerate(d.block_mask):
-        k = (m & zmask).bit_count()
-        if k == 3:
-            interior.append(i)
-        elif k == 2:
-            ok = False
-    return ok and len(interior) == w * (w - 1) // 6, tuple(interior)
+    interior = tuple(i for i, m in enumerate(d.block_mask) if m & zmask == m)
+    return w > 0 and 6 * len(interior) == w * (w - 1), interior

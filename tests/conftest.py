@@ -96,6 +96,21 @@ def reference_greedy(d: Design) -> tuple[int, NonincidenceCertificate]:
     return best, cert
 
 
+# The repeated-pair scan as it was before Design.from_blocks tested block
+# masks: a set of every pair seen, in canonical block order.  Kept as the
+# reference for the pair that from_blocks' error names.
+
+
+def reference_repeated_pair(blocks) -> tuple[int, int]:
+    """The first pair, in block order, that lies on two of the sorted blocks."""
+    seen = set()
+    for a, b, c in blocks:
+        for pair in ((a, b), (a, c), (b, c)):
+            if pair in seen:
+                return pair
+            seen.add(pair)
+
+
 # Point-set statistics that only the tests use.
 
 

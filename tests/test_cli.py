@@ -51,6 +51,23 @@ class TestConstruct:
         assert rc == EXIT_USAGE
         assert "inadmissible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,says", [
+        (("--order", "8"), "inadmissible"),
+        (("--order", "0"), "inadmissible"),
+        (("--order", "-5"), "inadmissible"),
+        (("--order", "11", "--sub", "3"), "inadmissible"),
+        (("--order", "8", "--double-from", "3"), "gives order 7, not 8"),
+        (("--order", "7", "--sub", "1"), "no block"),
+    ], ids=["8", "0", "negative", "sub_in_11", "doubling_mismatch", "sub_1"])
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, flags, says):
+        # The builders' ValueError is the one check; nothing is written.
+        rc = run("construct", *flags, "--out", str(tmp_path / "x.json"))
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert says in err
+        assert not any(tmp_path.iterdir())
+
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         # The budget bounds every climb: STS(25) and the doubling input
         # STS(13) are hill-climbed too.

@@ -164,6 +164,13 @@ class TestComplementCertificate:
         assert len(cert.C) == 1
         assert verify_certificate(emb.design, cert)
 
+    def test_blockless_subsystem_refused(self):
+        # A sub-STS(1) has no block, so its certificate would be empty.
+        emb = embed_subsystem(1, 7, seed=0)
+        assert emb.sub_blocks == ()
+        with pytest.raises(ValueError, match="no block"):
+            subsystem_complement_certificate(emb)
+
 
 def _climb_inputs(w, v, seed):
     """The frozen sub-blocks and generator state embed_subsystem climbs from."""

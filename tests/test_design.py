@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from conftest import (
     disjoint_block_count,
     is_maximal_arc,
     naive_disjoint_count,
+    reference_repeated_pair,
     replication,
 )
 
@@ -194,6 +196,40 @@ def test_validity_matches_reference_on_partial_systems(v, blocks):
     rep = validate_design(d)
     assert not rep.ok
     assert (rep.ok, rep.uncovered_pairs) == pair_count_validity(d)
+
+
+@pytest.mark.parametrize("name", SUITE_STS)
+def test_repeated_pair_matches_reference(name):
+    # Random block subsets, each with one pair of a first, middle or last
+    # block put on one more block; that block may repeat its other pairs
+    # too, or be a duplicate.  The error names the reference's pair.
+    sts = SUITE_STS[name]()
+    rng = random.Random(sts.v)
+    for k in {sts.b, max(sts.b // 2, 1), rng.randint(1, max(sts.b, 1))}:
+        subset = sorted(rng.sample(sts.blocks, min(k, sts.b)))
+        assert reference_repeated_pair(subset) is None
+        assert Design.from_blocks(sts.v, subset).blocks == tuple(subset)
+        for blk in {subset[0], subset[len(subset) // 2], subset[-1]} if subset else ():
+            x, y = rng.sample(blk, 2)
+            z = rng.choice([p for p in range(sts.v) if p not in (x, y)])
+            blocks = subset + [(x, y, z)]
+            pair = reference_repeated_pair(sorted(tuple(sorted(b)) for b in blocks))
+            with pytest.raises(DesignError, match=re.escape(f"pair {pair} lies")):
+                Design.from_blocks(sts.v, blocks)
+
+
+def test_loading_a_large_order_costs_no_square_memory():
+    # Point masks cost memory with the blocks, not with v squared; a
+    # per-point mask over points took about 104 MiB here.
+    text = '{"v": 40000, "blocks": [[0, 1, 2]]}'
+    tracemalloc.start()
+    try:
+        d = Design.from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.v == 40000 and d.b == 1
+    assert peak < 8 * 2**20
 
 
 class TestDisjointCount:
@@ -403,6 +439,57 @@ class TestSubsystem:
         assert ok
         assert len(interior) == 12
         assert len(interior) == 9 * 8 // 6
+
+
+def subsystem_oracle(d, points):
+    """(is subsystem, interior blocks) by plain tuple scanning, no bitmasks.
+
+    The set is nonempty and every pair of it lies on a block whose three
+    points are all in the set.
+    """
+    pts = set(points)
+    interior = tuple(i for i, blk in enumerate(d.blocks) if set(blk) <= pts)
+    covered = {frozenset(pair) for i in interior
+               for pair in itertools.combinations(d.blocks[i], 2)}
+    every = {frozenset(pair) for pair in itertools.combinations(pts, 2)}
+    return bool(pts) and every <= covered, interior
+
+
+def _all_point_sets(v):
+    for k in range(v + 1):
+        yield from itertools.combinations(range(v), k)
+
+
+class TestSubsystemOracle:
+    def test_fano_and_every_block_subset(self):
+        for r in range(8):
+            for blocks in itertools.combinations(FANO_BLOCKS, r):
+                d = Design.from_blocks(7, blocks)
+                for pts in _all_point_sets(7):
+                    assert is_subsystem(d, pts) == subsystem_oracle(d, pts), pts
+
+    def test_ag23_and_block_subsets(self):
+        rng = random.Random(9)
+        subsets = [AG23_BLOCKS, []] + [
+            rng.sample(AG23_BLOCKS, rng.randrange(1, 12)) for _ in range(20)
+        ]
+        for blocks in subsets:
+            d = Design.from_blocks(9, blocks)
+            for pts in _all_point_sets(9):
+                assert is_subsystem(d, pts) == subsystem_oracle(d, pts), pts
+
+    @pytest.mark.parametrize("name", SUITE_STS)
+    def test_suite_designs(self, name):
+        # Random sets, block point sets, and every prefix 0..k-1, which
+        # holds the sub-designs of embed_subsystem and doubling.
+        d = SUITE_STS[name]()
+        rng = random.Random(d.v)
+        sets = [range(k) for k in range(d.v + 1)]
+        sets += [d.blocks[i] for i in rng.sample(range(d.b), min(d.b, 5))]
+        sets += [rng.sample(range(d.v), rng.randint(0, d.v)) for _ in range(20)]
+        for pts in sets:
+            assert is_subsystem(d, pts) == subsystem_oracle(d, pts), pts
+        assert any(is_subsystem(d, pts)[0] for pts in sets)
 
 
 class TestMaximalArc:
