@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification/validation failure or a file that
 cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
 4 certificate digest mismatch.  Usage errors include a negative --budget,
 --seed or --zmax, construct given both --sub and --double-from, an
-inadmissible order, and --sub 1, whose sub-design has no block to certify.
+inadmissible order, and --sub 1 or --double-from 1, whose sub-design has no
+block to certify.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def cmd_construct(args) -> int:
                       file=sys.stderr)
                 return EXIT_USAGE
             sub = cons.build_sts(w, seed=args.seed, move_budget=args.budget)
+            if not sub.blocks:
+                raise ValueError(
+                    f"a doubled STS({w}) has no block to certify")
             design, arc = cons.doubling(sub)
             _, interior = is_subsystem(design, range(w))
             cert = NonincidenceCertificate.build(

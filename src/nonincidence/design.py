@@ -108,6 +108,21 @@ class Design:
         # the frozen fields, eq, hash and repr never look at.
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
+    @cached_property
+    def third(self) -> tuple[tuple[int, ...], ...]:
+        """third[a][b]: the third point of the block through a and b, or -1.
+
+        -1 marks a pair on no block, so a partial design has a table too.
+        Cached like _digest: one v x v table per instance, built on first
+        use and outside eq, hash and repr.
+        """
+        table = [[-1] * self.v for _ in range(self.v)]
+        for a, b, c in self.blocks:
+            table[a][b] = table[b][a] = c
+            table[a][c] = table[c][a] = b
+            table[b][c] = table[c][b] = a
+        return tuple(map(tuple, table))
+
     @classmethod
     def from_json(cls, text: str) -> "Design":
         data = json.loads(text)

@@ -78,6 +78,22 @@ exclusion, where it breaks the sibling loop: every set below a later
 sibling contains Y and avoids X and p, so the bound just tested covers
 it.
 
+Symmetry at the top of the tree.  An automorphism h of the design keeps
+|Y| and t(Y), so h(Y) is exactly as good as Y.  Root child l, adding
+p_l, covers the sets whose first point in child order is p_l.  If
+h(p_i) = p_j with j < i, any set Y' below child i holds p_j in h(Y'),
+so h(Y') lies below some child l <= j.  By induction on i, every set
+below child i then has an image of equal value below an explored child,
+so the root skips child i when an earlier sibling lies in its orbit
+(see _orbits).  The same holds at the root's first child, the one node
+with |Y| = 1 and no excluded point, for the h that fix its point p0: a
+set there only has to hold p0, and h(Y') does.  Any other node would
+need the orbits of its own stabiliser, so no other node skips.  A skipped
+child is neither entered nor counted, but its point is excluded as an
+explored child's is, and the defect test after it still runs.  Orbits
+are computed when a sibling loop first reaches its second child, so a
+search that ends inside its first child computes none.
+
 Subsystem decision: at an equality-family order the bound s is reached
 iff the design has a sub-STS(w), w = v - s (see find_subsystem).  So the
 search first looks for one.  If it exists, its complement with its
@@ -142,6 +158,125 @@ def _xor_blocks(block_mask, blocks: int) -> int:
     return z
 
 
+# Backtrack steps one _orbits call may spend on its automorphism searches.
+# Running out only leaves orbits split, which skips fewer children.
+_ORBIT_STEPS = 10_000
+
+
+def _orbits(d: Design, fixed=()) -> list[int]:
+    """For each point, the least point of its orbit under the automorphisms
+    of d that fix every point of fixed, as far as _ORBIT_STEPS allows.
+
+    Points are first split by an invariant: the Pasch configurations
+    through each point, with the points of fixed set apart, refined by the
+    classes of the pairs on each point's blocks until stable.  Then each
+    point b is tested against each earlier orbit's least point r of its
+    class by _automorphism; a map found merges every point with its image.
+    Without the cap these are exactly the orbits; with it, an orbit may
+    stay split, never joined to another.
+    """
+    v, third = d.v, d.third
+    # blocks_at[a]: the pairs (b, c), b < c, with {a, b, c} a block.
+    blocks_at = [[(b, c) for b, c in enumerate(row) if b < c]
+                 for row in third]
+    # A Pasch configuration through a: blocks {a, b, c} and {a, x, y}
+    # with {b, x, z} and {c, y, z}, or with x and y swapped.
+    cls = [sum((third[b][x] >= 0 and third[b][x] == third[c][y])
+               + (third[b][y] >= 0 and third[b][y] == third[c][x])
+               for i, (b, c) in enumerate(pairs) for x, y in pairs[:i])
+           for pairs in blocks_at]
+    for i, f in enumerate(fixed):
+        cls[f] = -1 - i
+    n = 0
+    while n < len(set(cls)):
+        n = len(set(cls))
+        sig = [(cls[a], tuple(sorted((min(cls[b], cls[c]), max(cls[b], cls[c]))
+                                     for b, c in pairs)))
+               for a, pairs in enumerate(blocks_at)]
+        keys = {x: i for i, x in enumerate(sorted(set(sig)))}
+        cls = [keys[x] for x in sig]
+    rep = list(range(v))
+
+    def root(p):
+        while rep[p] != p:
+            p = rep[p]
+        return p
+
+    steps = [_ORBIT_STEPS]
+    start = _extend(third, cls, ([-1] * v, [-1] * v, []),
+                    [(f, f) for f in fixed])
+    for b in range(v):
+        if root(b) != b:
+            continue
+        for r in range(b):
+            if rep[r] == r and cls[r] == cls[b]:
+                g = _automorphism(third, cls, start, r, b, steps)
+                if g is not None:
+                    for p, q in enumerate(g):
+                        x, y = sorted((root(p), root(q)))
+                        rep[y] = x
+                    break
+    return [root(p) for p in range(v)]
+
+
+def _extend(third, cls, state, pairs):
+    """Copy of the partial map state = (img, inv, order) with x -> y added
+    for each pair and closed under third points; None on a contradiction.
+
+    order lists the mapped points; every pair of them has been checked:
+    the image of third[a][u] is third[img a][img u], and -1 maps to -1.
+    So a map that reaches all points is an automorphism.
+    """
+    img, inv, order = state[0][:], state[1][:], state[2][:]
+    for x, y in pairs:
+        if img[x] != -1 or inv[y] != -1 or cls[x] != cls[y]:
+            return None
+        img[x], inv[y] = y, x
+        order.append(x)
+    i = len(state[2])
+    while i < len(order):
+        a = order[i]
+        row, image = third[a], third[img[a]]
+        for u in order[:i]:
+            w, z = row[u], image[img[u]]
+            if w < 0 or z < 0:
+                if w != z:
+                    return None
+            elif img[w] != z:
+                if img[w] != -1 or inv[z] != -1 or cls[w] != cls[z]:
+                    return None
+                img[w], inv[z] = z, w
+                order.append(w)
+        i += 1
+    return img, inv, order
+
+
+def _automorphism(third, cls, start, a, b, steps):
+    """An automorphism extending the partial map start and sending a to b,
+    or None.  Each tried image costs one of steps[0]; at 0 the search
+    gives up with None.
+    """
+    def branch(state, x, y):
+        if steps[0] == 0:
+            return None
+        steps[0] -= 1
+        state = _extend(third, cls, state, [(x, y)])
+        if state is None:
+            return None
+        img, inv, _ = state
+        if -1 not in img:
+            return img
+        x = img.index(-1)
+        for y, z in enumerate(inv):
+            if z == -1 and cls[y] == cls[x]:
+                found = branch(state, x, y)
+                if found is not None or steps[0] == 0:
+                    return found
+        return None
+
+    return branch(start, a, b)
+
+
 def _greedy(d: Design) -> tuple[list[int], int]:
     """Greedy's point set Y and the mask of the blocks avoiding it.
 
@@ -187,6 +322,7 @@ def _report(d: Design, method: str, start: float, bound: int, best: int,
 
 class _BranchAndBound:
     def __init__(self, d: Design, node_budget: int, bound: int):
+        self.d = d
         self.v = d.v
         self.inc = d.point_incidence
         self.block_mask = d.block_mask
@@ -239,26 +375,38 @@ class _BranchAndBound:
             return
         pts = [k & low for k in keys]
         dead = ~mask
+        # The root and its first child, the one node with |Y| = 1 and no
+        # excluded point, skip children symmetric to an earlier sibling.
+        top = y < 2 and not xm
+        orbit = None
+        skip = False
         for i, k in enumerate(keys):
             if y + n - i <= self.best:
                 break
             nt = t - (k >> shift)
             if nt <= self.best:
                 break
-            if self.nodes == self.node_budget:
-                self.truncated = True
-                return
-            self.nodes += 1
             p = pts[i]
+            if i and top:
+                if orbit is None:
+                    orbit = _orbits(self.d, tuple(Y))
+                    seen = {orbit[pts[0]]}
+                skip = orbit[p] in seen
+                seen.add(orbit[p])
             ip = inc[p]
-            new = ip & x2
-            Y.append(p)
-            self._rec(pts[i + 1:], Y, mask & ~ip, nt, x1, x2,
-                      e + new.bit_count(), xm,
-                      o ^ (_xor_blocks(bm, new) & xm) if new else o)
-            Y.pop()
-            if self.truncated:
-                return
+            if not skip:
+                if self.nodes == self.node_budget:
+                    self.truncated = True
+                    return
+                self.nodes += 1
+                new = ip & x2
+                Y.append(p)
+                self._rec(pts[i + 1:], Y, mask & ~ip, nt, x1, x2,
+                          e + new.bit_count(), xm,
+                          o ^ (_xor_blocks(bm, new) & xm) if new else o)
+                Y.pop()
+                if self.truncated:
+                    return
             # p is excluded from here on (see the defect bound).
             xm |= 1 << p
             new = ip & x1 & dead
@@ -333,11 +481,7 @@ def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
     # pair rule allows, was about 3x faster on an unrelabelled embed(21, 91)
     # but 1.5-2.3x slower on relabelled designs and on designs without a
     # sub-STS(w), such as build_sts(91, 1) at w = 21.
-    third = [[-1] * v for _ in range(v)]
-    for a, b, c in d.blocks:
-        third[a][b] = third[b][a] = c
-        third[a][c] = third[c][a] = b
-        third[b][c] = third[c][b] = a
+    third = d.third
 
     def close(closed, mask, p):
         members = closed + [p]

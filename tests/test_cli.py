@@ -46,6 +46,18 @@ class TestConstruct:
         assert len(cert.Y) == 10
         assert cert.meta["arc"] is True
 
+    def test_doubling_smallest_block(self, tmp_path):
+        # STS(3) has one block, so doubling it certifies 4 points against
+        # that block; only STS(1), with no block, is refused.
+        out = tmp_path / "d7.json"
+        assert run("construct", "--order", "7", "--double-from", "3",
+                   "--out", str(out)) == EXIT_OK
+        cert = NonincidenceCertificate.from_json(
+            (tmp_path / "d7.cert.json").read_text())
+        assert (len(cert.Y), len(cert.C)) == (4, 1)
+        assert run("verify", "--design", str(out), "--cert",
+                   str(tmp_path / "d7.cert.json")) == EXIT_OK
+
     def test_inadmissible_order(self, tmp_path, capsys):
         rc = run("construct", "--order", "11", "--out", str(tmp_path / "x.json"))
         assert rc == EXIT_USAGE
@@ -58,7 +70,9 @@ class TestConstruct:
         (("--order", "11", "--sub", "3"), "inadmissible"),
         (("--order", "8", "--double-from", "3"), "gives order 7, not 8"),
         (("--order", "7", "--sub", "1"), "no block"),
-    ], ids=["8", "0", "negative", "sub_in_11", "doubling_mismatch", "sub_1"])
+        (("--order", "3", "--double-from", "1"), "no block"),
+    ], ids=["8", "0", "negative", "sub_in_11", "doubling_mismatch", "sub_1",
+            "double_from_1"])
     def test_usage_error_writes_nothing(self, tmp_path, capsys, flags, says):
         # The builders' ValueError is the one check; nothing is written.
         rc = run("construct", *flags, "--out", str(tmp_path / "x.json"))

@@ -417,6 +417,32 @@ class TestDigestCache:
             verify_certificate(second.design, cert)
 
 
+class TestThirdTable:
+    @pytest.mark.parametrize("make", [
+        lambda: Design.from_blocks(7, FANO_BLOCKS),
+        lambda: bose(15),
+        lambda: Design.from_blocks(13, build_sts(13, seed=3).blocks[::2]),
+        lambda: Design.from_blocks(7, []),
+    ], ids=["fano", "bose15", "sts13_half", "empty7"])
+    def test_matches_a_recount(self, make):
+        # Every pair of a block gives the block's third point, and a pair
+        # on no block (a partial design) gives -1.
+        d = make()
+        want = [[-1] * d.v for _ in range(d.v)]
+        for blk in d.blocks:
+            for a, b in itertools.permutations(blk, 2):
+                want[a][b] = sum(blk) - a - b
+        assert [list(row) for row in d.third] == want
+
+    def test_cache_leaves_eq_hash_and_repr_alone(self, ag23):
+        before = repr(ag23)
+        assert ag23.third[0][1] == 2
+        fresh = Design.from_blocks(9, AG23_BLOCKS)
+        assert fresh == ag23 and hash(fresh) == hash(ag23)
+        assert repr(ag23) == repr(fresh) == before
+        assert ag23.third is ag23.third
+
+
 class TestSubsystem:
     def test_single_block(self, fano):
         ok, interior = is_subsystem(fano, [0, 1, 2])

@@ -19,7 +19,8 @@ from nonincidence import (
     nonincidence_upper_bound,
     verify_certificate,
 )
-from nonincidence.search import _BranchAndBound, kill_bound
+from nonincidence import search
+from nonincidence.search import _BranchAndBound, _orbits, kill_bound
 from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle, reference_greedy
 
 
@@ -98,7 +99,11 @@ class TestExactSearch:
         # that the triple-counting bound needs without the defect bound.
         # The last four are below the 93,333, 36,434, 263,819 and 170,973
         # nodes that the defect bound needs without its parity term; with
-        # it the search takes 64,813, 24,121, 93,979 and 36,324.
+        # it the search takes 64,813, 24,121, 93,979 and 36,324.  Skipping
+        # root and first-child children symmetric to an earlier sibling
+        # keeps v=25 and v=31 (trivial groups) and takes v=27 to 9,236 and
+        # doubling15 to 36,234: only the point-transitive v=27 has much
+        # symmetry to skip.
         # bose(21) has no sub-STS(9), so its ceiling is lowered from 12 to
         # 11: the search takes 222 nodes, and 651 without the lowering.
         if v == "doubling15":
@@ -117,14 +122,18 @@ class TestExactSearch:
         [
             (lambda: doubling(build_sts(9, seed=1))[0], 140),
             (lambda: build_sts(19, seed=1), 1_996),
-            (lambda: build_sts(27, seed=1), 24_121),
+            (lambda: build_sts(27, seed=1), 9_236),
+            (lambda: bose(15), 132),
         ],
-        ids=["doubling9", "sts19", "sts27"],
+        ids=["doubling9", "sts19", "sts27", "bose15"],
     )
     def test_ladder_node_counts(self, make, nodes):
         # The search is deterministic, so a change to its warm start, child
         # order or pruning that should leave it alone must keep these
-        # counts, not only fit the budgets above.
+        # counts, not only fit the budgets above.  The orbit skip took
+        # v=27 from 24,121 and bose(15) from 747; doubling9 ends inside
+        # its first child and sts19 has a trivial group, so they kept
+        # their counts.
         rep = exact_max_nonincident(make())
         assert rep.exact
         assert rep.nodes_visited == nodes
@@ -132,9 +141,11 @@ class TestExactSearch:
     @pytest.mark.slow
     def test_bose33_proved_within_budget(self):
         # 14,458,809 nodes without the defect bound, 3,257,763 with it but
-        # without its parity term, and 2,146,188 with both.
+        # without its parity term, 2,146,188 with both, and 616,148 once
+        # root and first-child children symmetric to an earlier sibling
+        # are skipped.
         d = bose(33)
-        rep = exact_max_nonincident(d, node_budget=2_500_000)
+        rep = exact_max_nonincident(d, node_budget=700_000)
         assert rep.exact
         assert rep.best_s == 19
         assert verify_certificate(d, rep.certificate, require_square=True)
@@ -423,6 +434,186 @@ class TestDefectBound:
                 f = nonincidence_upper_bound(v)
                 assert (comb(v - f - 1, 2) - 3 * (f + 1) < 0
                         <= comb(v - f, 2) - 3 * f)
+
+
+def _classes(orbit):
+    return sorted(Counter(orbit).values())
+
+
+def _permuted(d, seed):
+    """relabel(d, seed) and the permutation it applies."""
+    perm = list(range(d.v))
+    random.Random(seed).shuffle(perm)
+    return relabel(d, seed), perm
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("make,stabiliser", [
+        (lambda: Design.from_blocks(7, FANO_BLOCKS), 2),
+        (lambda: Design.from_blocks(9, AG23_BLOCKS), 2),
+        (lambda: bose(21), 6),
+        (lambda: build_sts(27, seed=1), 7),
+    ], ids=["fano", "ag23", "bose21", "sts27"])
+    def test_point_transitive(self, make, stabiliser):
+        # One orbit; the stabiliser of point 0 splits the points into the
+        # given number of classes, {0} itself counted.
+        d = make()
+        assert _orbits(d) == [0] * d.v
+        orbit = _orbits(d, (0,))
+        assert len(set(orbit)) == stabiliser and orbit.count(0) == 1
+        assert all(orbit[p] <= p for p in range(d.v))
+
+    @pytest.mark.parametrize("v", [19, 25])
+    def test_trivial_group(self, v):
+        d = build_sts(v, seed=1)
+        assert _orbits(d) == _orbits(d, (0,)) == list(range(v))
+
+    @pytest.mark.parametrize("make", [
+        lambda: bose(15),
+        lambda: bose(21),
+        lambda: build_sts(27, seed=1),
+        lambda: doubling(build_sts(15, seed=1))[0],
+        lambda: doubling(bose(9))[0],
+    ], ids=["bose15", "bose21", "sts27", "doubling15", "doubling9"])
+    def test_relabelled_copies_agree(self, make):
+        # Orbits are a property of the design up to isomorphism: a
+        # relabelled copy has the same orbit sizes, and so does the
+        # stabiliser of the image of point 0.
+        d = make()
+        whole, stab = _classes(_orbits(d)), _classes(_orbits(d, (0,)))
+        for seed in range(3):
+            copy, perm = _permuted(d, seed)
+            assert _classes(_orbits(copy)) == whole
+            assert _classes(_orbits(copy, (perm[0],))) == stab
+
+    @pytest.mark.parametrize("make,fixed", [
+        (lambda: bose(15), ()),
+        (lambda: bose(21), (0,)),
+        (lambda: build_sts(27, seed=1), ()),
+        (lambda: build_sts(27, seed=1), (0,)),
+        (lambda: doubling(build_sts(15, seed=1))[0], ()),
+        (lambda: relabel(bose(21), 3), (5,)),
+    ], ids=["bose15", "bose21_stab", "sts27", "sts27_stab", "doubling15",
+            "bose21_relabelled_stab"])
+    def test_every_merge_rests_on_an_automorphism(self, make, fixed,
+                                                 monkeypatch):
+        # Each map a merge uses sends blocks to blocks and fixes the fixed
+        # points, and the orbits are exactly those the maps generate.
+        d = make()
+        maps = []
+        found = search._automorphism
+
+        def record(*args):
+            g = found(*args)
+            if g is not None:
+                maps.append(g)
+            return g
+
+        monkeypatch.setattr(search, "_automorphism", record)
+        orbit = _orbits(d, fixed)
+        assert maps
+        blocks = set(d.blocks)
+        rep = list(range(d.v))
+        for g in maps:
+            assert sorted(g) == list(range(d.v))
+            assert all(g[f] == f for f in fixed)
+            assert {tuple(sorted(g[p] for p in blk)) for blk in blocks} == blocks
+            for p, q in enumerate(g):
+                lo, hi = sorted((rep[p], rep[q]))
+                rep = [lo if r == hi else r for r in rep]
+        assert orbit == rep
+
+    def test_no_steps_leaves_every_point_alone(self, monkeypatch):
+        # Out of steps, no map is found and no child is skipped: the search
+        # is still exact and takes the node count it took before orbits.
+        monkeypatch.setattr(search, "_ORBIT_STEPS", 0)
+        d = build_sts(27, seed=1)
+        assert _orbits(d) == _orbits(d, (0,)) == list(range(27))
+        rep = exact_max_nonincident(d)
+        assert rep.exact and rep.best_s == 15
+        assert rep.nodes_visited == 24_121
+
+    @pytest.mark.parametrize("make,nodes", [
+        (lambda: build_sts(27, seed=1), 9_236),
+        (lambda: doubling(build_sts(15, seed=1))[0], 36_234),
+    ], ids=["sts27", "doubling15"])
+    def test_asks_for_the_root_and_the_first_child_stabiliser(
+            self, make, nodes, monkeypatch):
+        # One orbit computation for the first child, fixing its point, and
+        # one for the root; none at any other node, not even at the later
+        # root children that doubling15's 11 root orbits leave to enter.
+        calls = []
+        orbits = search._orbits
+
+        def record(d, fixed=()):
+            calls.append(fixed)
+            return orbits(d, fixed)
+
+        monkeypatch.setattr(search, "_orbits", record)
+        rep = exact_max_nonincident(make())
+        assert rep.exact and rep.nodes_visited == nodes
+        # Every point of an STS has the same degree, so the first child
+        # adds point 0.
+        assert calls == [(0,), ()]
+
+    def test_no_orbits_when_the_search_ends_in_its_first_child(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "_orbits",
+                            lambda d, fixed=(): calls.append(fixed))
+        rep = exact_max_nonincident(doubling(build_sts(9, seed=1))[0])
+        assert rep.exact and rep.nodes_visited == 140
+        assert calls == []
+
+
+def _soundness_designs():
+    """(id, design) for the symmetry soundness check: 8 designs, each with
+    3 relabellings, 6 random block subsets, minus its first block and
+    every other block; then bose(27) and a relabelled copy."""
+    bases = [
+        ("fano", Design.from_blocks(7, FANO_BLOCKS)),
+        ("ag23", Design.from_blocks(9, AG23_BLOCKS)),
+        ("bose15", bose(15)),
+        ("bose21", bose(21)),
+        ("doubling7", doubling(build_sts(7))[0]),
+        ("doubling_bose9", doubling(bose(9))[0]),
+        ("sts13", build_sts(13, seed=11)),
+        ("embed7_15", embed_subsystem(7, 15, seed=0).design),
+    ]
+    out = []
+    for name, d in bases:
+        rng = random.Random(d.v)
+        out.append((name, d))
+        out += [(f"{name}_relabel{k}", relabel(d, k)) for k in range(3)]
+        out += [(f"{name}_subset{k}", Design.from_blocks(
+            d.v, rng.sample(d.blocks, rng.randrange(d.b // 2, d.b))))
+            for k in range(6)]
+        out.append((f"{name}_minus_first", Design.from_blocks(d.v, d.blocks[1:])))
+        out.append((f"{name}_every_other",
+                    Design.from_blocks(d.v, d.blocks[::2])))
+    return out + [("bose27", bose(27)),
+                  ("bose27_relabel0", relabel(bose(27), 0))]
+
+
+SOUNDNESS_DESIGNS = _soundness_designs()
+
+
+@pytest.mark.parametrize("d", [d for _, d in SOUNDNESS_DESIGNS],
+                         ids=[name for name, _ in SOUNDNESS_DESIGNS])
+def test_symmetry_skip_is_sound(d, monkeypatch):
+    # The search with orbit skipping must find what the search without it
+    # finds (every orbit a single point), and brute force for v <= 15.
+    # Mutants that put every point in one orbit fail on doubling(bose(9))
+    # relabelled and on two of its block subsets.
+    rep = exact_max_nonincident(d)
+    assert rep.exact
+    assert verify_certificate(d, rep.certificate)
+    if d.v <= 15:
+        assert rep.best_s == brute_force_oracle(d)
+    monkeypatch.setattr(search, "_orbits", lambda d, fixed=(): list(range(d.v)))
+    plain = exact_max_nonincident(d)
+    assert plain.exact and rep.best_s == plain.best_s
+    assert rep.nodes_visited <= plain.nodes_visited
 
 
 def _has_subsystem(d, w):
