@@ -19,14 +19,15 @@ def _check_admissible(v: int) -> None:
 def disjoint_block_bound(v: int, s: int) -> int:
     """Max number of blocks disjoint from any s-point set in an STS(v).
 
-    This is floor((v(v-1) + s^2 - s(2v-1)) / 6).  The numerator is not
-    always divisible by 6 (e.g. v=9, s=1) and goes negative for large s;
-    Python floor division handles both exactly.
+    This is floor((v-s)(v-s-1) / 6): a block avoiding the set Y holds
+    three of the C(v-s, 2) pairs among the points off Y, and no pair lies
+    on two blocks.  The product is never negative for 0 <= s <= v, but
+    not always divisible by 6 (e.g. v=9, s=1), so the result is floored.
     """
     _check_admissible(v)
     if not 0 <= s <= v:
         raise ValueError(f"point-set size {s} outside 0..{v}")
-    return (v * (v - 1) + s * s - s * (2 * v - 1)) // 6
+    return (v - s) * (v - s - 1) // 6
 
 
 def nonincidence_upper_bound(v: int) -> int:

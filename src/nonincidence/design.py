@@ -6,12 +6,15 @@ design has exactly one canonical serialization.  Incidence is kept twice,
 as arbitrary-width integer bitmasks: one mask over blocks per point and
 one mask over points per block.
 
-Pair questions are answered from the point masks by two rules.  The pair
-rule: points x and y lie on a common block iff ``point_incidence[x] &
-point_incidence[y]`` is nonzero, and since no pair lies on two blocks that
-block is unique.  The count rule: k distinct blocks hold 3k distinct
-pairs, so blocks inside a w-point set cover every pair of it exactly when
-there are w(w-1)/6 of them.
+Design.from_blocks, validate_design and is_subsystem answer pair
+questions from the masks by two rules.  The pair rule: points x and y lie
+on a common block iff ``point_incidence[x] & point_incidence[y]`` is
+nonzero, and since no pair lies on two blocks that block is unique.  The
+count rule: k distinct blocks hold 3k distinct pairs, so blocks inside a
+w-point set cover every pair of it exactly when there are w(w-1)/6 of
+them.  The callers that need the third point of a pair, find_subsystem
+and _orbits in the exact search, read Design.third instead: a v x v
+table, built on first use and then kept.
 """
 
 from __future__ import annotations
@@ -70,7 +73,10 @@ class Design:
                 raise DesignError(f"block {blk!r} has a point outside 0..{v - 1}")
             canon.append(pts)
         canon.sort()
-        point_inc = [0] * v
+        try:
+            point_inc = [0] * v
+        except (OverflowError, MemoryError) as exc:
+            raise DesignError(f"point count {v} is too large to hold") from exc
         block_mask = []
         for i, (a, b, c) in enumerate(canon):
             # Two points share an earlier block iff their masks meet.
@@ -125,10 +131,15 @@ class Design:
 
     @classmethod
     def from_json(cls, text: str) -> "Design":
-        data = json.loads(text)
+        """Design from its JSON form.
+
+        Raises DesignError on a missing key, on JSON nested too deep to
+        parse, and wherever from_blocks does.
+        """
         try:
+            data = json.loads(text)
             return cls.from_blocks(data["v"], data["blocks"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise DesignError(f"malformed design file: {exc}") from exc
 
 
@@ -232,13 +243,14 @@ class NonincidenceCertificate:
     def from_json(cls, text: str) -> "NonincidenceCertificate":
         """Certificate from its JSON form.
 
-        Raises DesignError on a missing key, a non-integer order, or a
-        non-integer, bool, out-of-range or repeated entry of Y or C.  Block
-        indices are only checked to be non-negative here; their upper end
-        is checked by certificate_violations, which knows the design.
+        Raises DesignError on a missing key, on JSON nested too deep to
+        parse, a non-integer order, or a non-integer, bool, out-of-range or
+        repeated entry of Y or C.  Block indices are only checked to be
+        non-negative here; their upper end is checked by
+        certificate_violations, which knows the design.
         """
-        data = json.loads(text)
         try:
+            data = json.loads(text)
             cert = cls(
                 v=data["v"],
                 Y=tuple(data["Y"]),
@@ -247,7 +259,7 @@ class NonincidenceCertificate:
                 digest_algorithm=data.get("digest_algorithm", DIGEST_ALGORITHM),
                 meta=data.get("meta", {}),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise DesignError(f"malformed certificate file: {exc!r}") from exc
         if not _is_int(cert.v):
             raise DesignError(f"order {cert.v!r} is not an integer")

@@ -167,13 +167,15 @@ def _orbits(d: Design, fixed=()) -> list[int]:
     """For each point, the least point of its orbit under the automorphisms
     of d that fix every point of fixed, as far as _ORBIT_STEPS allows.
 
-    Points are first split by an invariant: the Pasch configurations
-    through each point, with the points of fixed set apart, refined by the
-    classes of the pairs on each point's blocks until stable.  Then each
-    point b is tested against each earlier orbit's least point r of its
-    class by _automorphism; a map found merges every point with its image.
-    Without the cap these are exactly the orbits; with it, an orbit may
-    stay split, never joined to another.
+    Points are first split by an invariant: the blocks and the Pasch
+    configurations through each point, with each point of fixed in a class
+    of its own.  Then each point b is tested against each earlier orbit's
+    least point r of its class by _automorphism; a map found merges every
+    point with its image.  Without the cap these are exactly the orbits;
+    with it, an orbit may stay split, never joined to another.  The
+    classes are not refined further: fixing a point sets only that point
+    apart, so the other orbits of a stabiliser are told apart only by
+    failed map searches.
     """
     v, third = d.v, d.third
     # blocks_at[a]: the pairs (b, c), b < c, with {a, b, c} a block.
@@ -181,20 +183,13 @@ def _orbits(d: Design, fixed=()) -> list[int]:
                  for row in third]
     # A Pasch configuration through a: blocks {a, b, c} and {a, x, y}
     # with {b, x, z} and {c, y, z}, or with x and y swapped.
-    cls = [sum((third[b][x] >= 0 and third[b][x] == third[c][y])
-               + (third[b][y] >= 0 and third[b][y] == third[c][x])
-               for i, (b, c) in enumerate(pairs) for x, y in pairs[:i])
+    cls = [(len(pairs),
+            sum((third[b][x] >= 0 and third[b][x] == third[c][y])
+                + (third[b][y] >= 0 and third[b][y] == third[c][x])
+                for i, (b, c) in enumerate(pairs) for x, y in pairs[:i]))
            for pairs in blocks_at]
     for i, f in enumerate(fixed):
         cls[f] = -1 - i
-    n = 0
-    while n < len(set(cls)):
-        n = len(set(cls))
-        sig = [(cls[a], tuple(sorted((min(cls[b], cls[c]), max(cls[b], cls[c]))
-                                     for b, c in pairs)))
-               for a, pairs in enumerate(blocks_at)]
-        keys = {x: i for i, x in enumerate(sorted(set(sig)))}
-        cls = [keys[x] for x in sig]
     rep = list(range(v))
 
     def root(p):
@@ -203,14 +198,12 @@ def _orbits(d: Design, fixed=()) -> list[int]:
         return p
 
     steps = [_ORBIT_STEPS]
-    start = _extend(third, cls, ([-1] * v, [-1] * v, []),
-                    [(f, f) for f in fixed])
     for b in range(v):
         if root(b) != b:
             continue
         for r in range(b):
             if rep[r] == r and cls[r] == cls[b]:
-                g = _automorphism(third, cls, start, r, b, steps)
+                g = _automorphism(third, cls, r, b, steps)
                 if g is not None:
                     for p, q in enumerate(g):
                         x, y = sorted((root(p), root(q)))
@@ -219,20 +212,18 @@ def _orbits(d: Design, fixed=()) -> list[int]:
     return [root(p) for p in range(v)]
 
 
-def _extend(third, cls, state, pairs):
+def _extend(third, cls, state, x, y):
     """Copy of the partial map state = (img, inv, order) with x -> y added
-    for each pair and closed under third points; None on a contradiction.
+    and closed under third points; None on a contradiction.  The callers
+    pass an unmapped x and an unused y of the same class.
 
     order lists the mapped points; every pair of them has been checked:
     the image of third[a][u] is third[img a][img u], and -1 maps to -1.
-    So a map that reaches all points is an automorphism.
+    Images keep classes, so a map that reaches all points is an
+    automorphism, and it fixes each point that is alone in its class.
     """
-    img, inv, order = state[0][:], state[1][:], state[2][:]
-    for x, y in pairs:
-        if img[x] != -1 or inv[y] != -1 or cls[x] != cls[y]:
-            return None
-        img[x], inv[y] = y, x
-        order.append(x)
+    img, inv, order = state[0][:], state[1][:], state[2] + [x]
+    img[x], inv[y] = y, x
     i = len(state[2])
     while i < len(order):
         a = order[i]
@@ -251,16 +242,17 @@ def _extend(third, cls, state, pairs):
     return img, inv, order
 
 
-def _automorphism(third, cls, start, a, b, steps):
-    """An automorphism extending the partial map start and sending a to b,
-    or None.  Each tried image costs one of steps[0]; at 0 the search
+def _automorphism(third, cls, a, b, steps):
+    """An automorphism of the design with third-point table third that
+    keeps the classes cls and sends a to b, or None.  The search starts
+    from the empty map.  Each tried image costs one of steps[0]; at 0 it
     gives up with None.
     """
     def branch(state, x, y):
         if steps[0] == 0:
             return None
         steps[0] -= 1
-        state = _extend(third, cls, state, [(x, y)])
+        state = _extend(third, cls, state, x, y)
         if state is None:
             return None
         img, inv, _ = state
@@ -274,7 +266,8 @@ def _automorphism(third, cls, start, a, b, steps):
                     return found
         return None
 
-    return branch(start, a, b)
+    v = len(third)
+    return branch(([-1] * v, [-1] * v, []), a, b)
 
 
 def _greedy(d: Design) -> tuple[list[int], int]:
@@ -465,14 +458,14 @@ def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
     W: W is a sub-STS(w).  Conversely its complement reaches s.
 
     Search: every closed set (a set containing the third point of each of
-    its pairs) inside a sub-STS(w) W is reached from {min W} by repeatedly
-    adding p = the least point of W not yet in the set and closing under
-    the third-point table.  Each step's closure therefore gains no point
-    below p, stays within w points and covers all its pairs; a closed set
-    of m < w points is a subsystem of W, so w >= 2m + 1.  Closures breaking
-    any of these are abandoned.  Because p is forced, every closed set is
-    reached along one path only, and proper subsystems (possible once
-    w >= 15) are grown further rather than skipped.
+    its pairs) inside a sub-STS(w) W is reached from the empty set by
+    repeatedly adding p = the least point of W not yet in the set and
+    closing under the third-point table.  Each step's closure therefore
+    gains no point below p, stays within w points and covers all its pairs;
+    a closed set of m < w points is a subsystem of W, so w >= 2m + 1.
+    Closures breaking any of these are abandoned.  Because p is forced,
+    every closed set is reached along one path only, and proper subsystems
+    (possible once w >= 15) are grown further rather than skipped.
     """
     v = d.v
     if not 1 <= w <= v:
@@ -516,8 +509,5 @@ def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
                     return found
         return None
 
-    for a in range(v - w + 1):
-        found = grow([a], 1 << a, a)
-        if found is not None:
-            return tuple(sorted(found))
-    return None
+    found = grow([], 0, -1)
+    return None if found is None else tuple(sorted(found))

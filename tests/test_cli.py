@@ -484,6 +484,59 @@ class TestVerifyRejectsMalformed:
         assert "square-bound=None" in capsys.readouterr().out
 
 
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+class TestHostileInput:
+    """Files that the JSON parser or the allocator cannot take get one
+    error line and exit 1, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        # A Fano design and a certificate for it that verifies.
+        d = Design.from_blocks(7, FANO_BLOCKS)
+        i = next(i for i, blk in enumerate(d.blocks) if 0 not in blk)
+        design, cert = tmp_path / "d.json", tmp_path / "c.json"
+        design.write_text(d.canonical_json())
+        cert.write_text(NonincidenceCertificate.build(d, [0], [i]).to_json())
+        return design, cert
+
+    @staticmethod
+    def _one_error(rc, capsys):
+        assert rc == EXIT_FAIL
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+        assert len(out.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["search", "verify"])
+    @pytest.mark.parametrize("text", [
+        DEEP,
+        json.dumps({"v": 10**100, "blocks": [[0, 1, 2]]}),
+        json.dumps({"v": 2**62, "blocks": [[0, 1, 2]]}),
+    ], ids=["deep_nesting", "order_10e100", "order_2e62"])
+    def test_design_file(self, files, tmp_path, capsys, command, text):
+        # These raised RecursionError, OverflowError and MemoryError.  Both
+        # orders fail before anything is allocated.
+        design, cert = files
+        design.write_text(text)
+        report = tmp_path / "r.json"
+        if command == "search":
+            rc = run("search", "--design", str(design), "--out", str(report))
+        else:
+            rc = run("verify", "--design", str(design), "--cert", str(cert))
+        self._one_error(rc, capsys)
+        assert not report.exists()
+
+    def test_deeply_nested_certificate(self, files, capsys):
+        design, cert = files
+        argv = ["verify", "--design", str(design), "--cert", str(cert)]
+        assert run(*argv) == EXIT_OK
+        capsys.readouterr()
+        cert.write_text(DEEP)
+        self._one_error(run(*argv), capsys)
+
+
 def test_construct_search_verify_round_trip(tmp_path):
     design = tmp_path / "d.json"
     report = tmp_path / "rep.json"

@@ -1,6 +1,8 @@
 """tools/code_lines.py counts the lines that hold code."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -41,3 +43,17 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["7", "1", "8"]
     assert out[-1].endswith("total")
+
+
+def test_closed_stdout_ends_quietly():
+    # The reader closes its end before the tool prints, as `| head -1`
+    # does once it has its line.  That raised BrokenPipeError with a
+    # traceback.
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), str(TOOL.parent.parent / "src")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() in (0, 1)
+    assert err == b""

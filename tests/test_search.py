@@ -463,10 +463,35 @@ class TestOrbits:
         assert len(set(orbit)) == stabiliser and orbit.count(0) == 1
         assert all(orbit[p] <= p for p in range(d.v))
 
-    @pytest.mark.parametrize("v", [19, 25])
+    @pytest.mark.parametrize("v", [19, 25, 31, 37])
     def test_trivial_group(self, v):
+        # Points that share a class (dozens of map questions on each of
+        # these) stay apart only because every such question fails.
         d = build_sts(v, seed=1)
         assert _orbits(d) == _orbits(d, (0,)) == list(range(v))
+
+    @pytest.mark.parametrize("fixed", [(), (0,)], ids=["root", "stabiliser"])
+    def test_questions_pair_points_on_as_many_blocks(self, fixed, monkeypatch):
+        # The invariant counts each point's blocks: no map question pairs
+        # points on different numbers of blocks, which no automorphism
+        # maps to each other.  Without that count, the Pasch count alone
+        # lets such questions through on these block subsets of bose(15).
+        subsets = [d for name, d in SOUNDNESS_DESIGNS
+                   if name.startswith("bose15_subset")]
+        assert len(subsets) == 6
+        asked = []
+        found = search._automorphism
+
+        def record(*args):
+            asked.append(args[-3:-1])
+            return found(*args)
+
+        monkeypatch.setattr(search, "_automorphism", record)
+        for d in subsets:
+            asked.clear()
+            _orbits(d, fixed)
+            blocks = [inc.bit_count() for inc in d.point_incidence]
+            assert all(blocks[a] == blocks[b] for a, b in asked)
 
     @pytest.mark.parametrize("make", [
         lambda: bose(15),

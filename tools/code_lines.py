@@ -7,13 +7,15 @@ alone as the first statement of a module, class or function.
 Usage: python tools/code_lines.py PATH...
 
 Each PATH is a .py file or a directory searched for them.  Prints one
-line per module, then the total.  Standard library only.
+line per module, then the total.  If stdout closes early, as in
+`... | head -1`, it stops quietly with status 1.  Standard library only.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -62,4 +64,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head -1` does: stop with no
+        # traceback.  stdout goes to devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
