@@ -12,7 +12,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass, field
 
-from .design import Design, NonincidenceCertificate, validate_design
+from .design import Design, NonincidenceCertificate, is_subsystem, validate_design
 
 DEFAULT_MOVE_BUDGET = 10_000_000
 
@@ -232,12 +232,10 @@ def embed_subsystem(
     )
     blocks, moves, evictions = _hill_climb(v, sub_blocks, rng, move_budget)
     d = Design.from_blocks(v, blocks)
-    fixed = set(sub_blocks)
-    idx = tuple(i for i, blk in enumerate(d.blocks) if blk in fixed)
     return EmbeddedDesign(
         design=d,
         sub_points=tuple(range(w)),
-        sub_blocks=idx,
+        sub_blocks=is_subsystem(d, range(w))[1],
         meta={"construction": "embed_subsystem", "w": w, "v": v, "seed": seed,
               "moves": moves, "evictions": evictions},
     )

@@ -12,9 +12,10 @@ on a common block iff ``point_incidence[x] & point_incidence[y]`` is
 nonzero, and since no pair lies on two blocks that block is unique.  The
 count rule: k distinct blocks hold 3k distinct pairs, so blocks inside a
 w-point set cover every pair of it exactly when there are w(w-1)/6 of
-them.  The callers that need the third point of a pair, find_subsystem
-and _orbits in the exact search, read Design.third instead: a v x v
-table, built on first use and then kept.
+them.  cli's cmd_search applies it to all v points: a design is an
+STS(v) exactly when 3b = v(v-1)/2.  The callers that need the third
+point of a pair, find_subsystem and _orbits in the exact search, read
+Design.third instead: a v x v table, built on first use and then kept.
 """
 
 from __future__ import annotations
@@ -174,15 +175,6 @@ class ValidityReport:
     @property
     def ok(self) -> bool:
         return self.admissible_order and not self.uncovered_pairs
-
-    def problems(self) -> list[str]:
-        out = []
-        if not self.admissible_order:
-            out.append(f"order {self.v} is not 1 or 3 mod 6")
-        if self.uncovered_pairs:
-            out.append(f"{len(self.uncovered_pairs)} uncovered pairs: "
-                       f"{list(self.uncovered_pairs[:5])}")
-        return out
 
 
 def validate_design(d: Design) -> ValidityReport:

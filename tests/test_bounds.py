@@ -79,6 +79,10 @@ class TestEqualityFamilies:
         assert [(r.v, r.s) for r in recs] == [(1, 0), (21, 12), (39, 26), (91, 70)]
         assert [r.family for r in recs] == [1, 3, 2, 4]
 
+    def test_negative_zmax_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_equality_orders(-1)
+
     def test_z1_family1(self):
         recs = {(r.family, r.z): r for r in enumerate_equality_orders(1)}
         r = recs[(1, 1)]

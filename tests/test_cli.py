@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -71,8 +72,9 @@ class TestConstruct:
         (("--order", "8", "--double-from", "3"), "gives order 7, not 8"),
         (("--order", "7", "--sub", "1"), "no block"),
         (("--order", "3", "--double-from", "1"), "no block"),
+        (("--order", "7", "--sub", "7"), "cannot properly contain"),
     ], ids=["8", "0", "negative", "sub_in_11", "doubling_mismatch", "sub_1",
-            "double_from_1"])
+            "double_from_1", "sub_of_own_order"])
     def test_usage_error_writes_nothing(self, tmp_path, capsys, flags, says):
         # The builders' ValueError is the one check; nothing is written.
         rc = run("construct", *flags, "--out", str(tmp_path / "x.json"))
@@ -127,10 +129,12 @@ class TestConstruct:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_mismatched_doubling_order(self, tmp_path):
+    def test_mismatched_doubling_order(self, tmp_path, capsys):
         rc = run("construct", "--order", "21", "--double-from", "9",
                  "--out", str(tmp_path / "x.json"))
         assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: doubling STS(9) gives order 19, not 21\n")
 
     @pytest.mark.parametrize("flags", [("--out", "missing/x.json"),
                                        ("--sub", "7", "--out", "d.json",
@@ -475,6 +479,19 @@ class TestVerifyRejectsMalformed:
             assert self._verify(tmp_path, design, data) == EXIT_OK
             assert capsys.readouterr().out.startswith("OK")
 
+    @pytest.mark.parametrize("Y,nc,flags,says", [
+        ([0], 2, ("--require-square",), "claim is not square (|Y|=1, |C|=2)"),
+        ([], 1, (), "empty certificate"),
+    ], ids=["not_square", "empty"])
+    def test_incidence_free_claim_fails(self, bose9, tmp_path, capsys,
+                                        Y, nc, flags, says):
+        # No certified point lies on a certified block, yet the claim fails.
+        design, d = bose9
+        C = [i for i, blk in enumerate(d.blocks) if 0 not in blk][:nc]
+        rc = self._verify(tmp_path, design, self._claim(d, Y, C), *flags)
+        assert rc == EXIT_FAIL
+        assert capsys.readouterr().out == f"FAIL: {says}\n"
+
     def test_inadmissible_order_reports_without_bounds(self, tmp_path, capsys):
         design = tmp_path / "d8.json"
         d = Design.from_blocks(8, [(0, 1, 2), (3, 4, 5)])
@@ -527,6 +544,29 @@ class TestHostileInput:
             rc = run("verify", "--design", str(design), "--cert", str(cert))
         self._one_error(rc, capsys)
         assert not report.exists()
+
+    @pytest.mark.parametrize("v,missing", [(999, 498498), (11, 52)],
+                             ids=["order_999", "inadmissible_11"])
+    def test_one_block_file_counts_uncovered_pairs(
+            self, files, tmp_path, capsys, v, missing):
+        # One block covers 3 of the v(v-1)/2 pairs.  The count alone says
+        # so: no pair is listed, so the whole check stays small.
+        design, _ = files
+        design.write_text(json.dumps({"v": v, "blocks": [[0, 1, 2]]}))
+        report = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            rc = run("search", "--design", str(design), "--out", str(report))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_FAIL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: design file is not a valid STS: {missing} "
+                           "uncovered pairs\n")
+        assert not report.exists()
+        assert peak < 5 * 2**20
 
     def test_deeply_nested_certificate(self, files, capsys):
         design, cert = files

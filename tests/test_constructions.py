@@ -140,6 +140,15 @@ class TestEmbedSubsystem:
         with pytest.raises(BudgetExhausted):
             embed_subsystem(9, 21, seed=0, move_budget=3)
 
+    @pytest.mark.parametrize("w,v", [(3, 19), (7, 15), (9, 19), (9, 21), (13, 39)])
+    def test_sub_blocks_are_the_frozen_blocks(self, w, v):
+        # The climb never evicts a frozen block and they cover every pair of
+        # 0..w-1, so the blocks inside 0..w-1 are exactly the frozen ones.
+        for seed in range(3):
+            sub, _ = _climb_inputs(w, v, seed)
+            emb = embed_subsystem(w, v, seed=seed)
+            assert [emb.design.blocks[i] for i in emb.sub_blocks] == sorted(sub)
+
     def test_trivial_block_subsystem(self):
         emb = embed_subsystem(3, 7, seed=0)
         assert len(emb.sub_blocks) == 1
@@ -163,6 +172,15 @@ class TestComplementCertificate:
         assert len(cert.Y) == 4
         assert len(cert.C) == 1
         assert verify_certificate(emb.design, cert)
+
+    def test_trimmed_at_19(self):
+        # A sub-STS(9) has 12 blocks but only 10 points lie outside it.
+        emb = embed_subsystem(9, 19, seed=0)
+        assert len(emb.sub_blocks) == 12
+        cert = subsystem_complement_certificate(emb)
+        assert cert.Y == tuple(range(9, 19))
+        assert cert.C == emb.sub_blocks[:10]
+        assert verify_certificate(emb.design, cert, require_square=True)
 
     def test_blockless_subsystem_refused(self):
         # A sub-STS(1) has no block, so its certificate would be empty.
