@@ -61,8 +61,8 @@ The paper's bound is this count at the root.  nonincidence_upper_bound(v)
 is the largest s with C(v - s, 2) >= 3*s, so an incumbent that meets it
 leaves a limit below 0 and every node is pruned: the incumbent is a proved
 maximum and the search ends with exact=True.  The search sets the limit
-to -1 at its ceiling, which is this bound or, at a family order, the
-bound lowered by the subsystem decision below.
+to -1 at its ceiling, which is this bound or the bound lowered by the
+ceiling decision below.
 
 The search keeps e, o and X with bit operations: x1 and x2 hold the
 blocks with at least one and at least two excluded points, xm the
@@ -94,25 +94,53 @@ explored child's is, and the defect test after it still runs.  Orbits
 are computed when a sibling loop first reaches its second child, so a
 search that ends inside its first child computes none.
 
-Subsystem decision: at an equality-family order the bound s is reached
-iff the design has a sub-STS(w), w = v - s (see find_subsystem).  So the
-search first looks for one.  If it exists, its complement with its
-interior blocks is the incumbent and meets the ceiling at once; if not,
-the ceiling is lowered to s - 1, which is then a proved maximum once
-reached.
+Ceiling decision.  Let s be the paper's bound, m = v - s and
+E = C(m, 2) - 3*s.  A set Y of s points that reaches s leaves W = V - Y,
+m points with at least s blocks inside them, so at most E pairs of W lie
+on no block inside W.  A point w of W lies on b_w of those blocks and
+misses m - 1 - 2*b_w of its pairs in W: these leave degrees have the
+parity of m - 1 and sum to at most 2E.  That settles three cases.
+- E = 0: W is a sub-STS(m), and m is odd; these are the equality-family
+  orders.  The search looks for one before branching (find_subsystem).
+  Its complement, with its interior blocks, is an incumbent that meets the
+  ceiling; if there is none the ceiling is s - 1.
+- m even and 2E < m: every leave degree is odd, so they sum to at least
+  m > 2E, and no set reaches s: the ceiling is s - 1.  This is
+  Schoenheim's packing bound at the root.
+- m odd and 0 < E < m: the leave degrees are even, and if none were 0
+  they would sum to at least 2m > 2E.  So some point w is full: its
+  (m - 1)/2 blocks inside W cover all of W, and W is w and the other two
+  points of (m - 1)/2 of its blocks.  _full_point searches these: each
+  block through w is taken, its points joining W, or dropped, its points
+  staying out, and a branch is pruned once more than E pairs of W have
+  their third point outside W, since no block inside W covers them.  At
+  a leaf every point is placed and the blocks with two points in W and
+  none outside lie inside W, so the leaf test is exact.  An automorphism
+  maps W and its full point to another such pair, so point 0 and one
+  point of each other orbit of the group (see _orbits) are enough.
+The full-point case runs once, when the incumbent first reaches s - 1:
+then a W found is a proved maximum, and a refutation lowers the ceiling
+to s - 1, which the incumbent meets; either way the search ends.  Its
+worst case grows as v * C((v - 1)/2, (m - 1)/2), so it runs at no
+other incumbent, and E(s - 1) = E + m + 3 > m + 1 rules the case out one
+below.  Each call of its search counts against the node budget, so a
+budget that runs out inside it ends the search with exact=False.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass
 from itertools import islice
 
-from .bounds import classify_equality_order, nonincidence_upper_bound
+from .bounds import nonincidence_upper_bound
 from .design import Design, NonincidenceCertificate, _bits
 
 DEFAULT_NODE_BUDGET = 100_000_000
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -120,9 +148,11 @@ class SearchReport:
     """Outcome of one search run over a single design.
 
     nodes_visited counts the search's steps.  For method "exact" these are
-    the children the branch-and-bound counted against its node budget:
-    0 when the warm start already meets the ceiling, and the budget itself
-    when the budget runs out, so a report never exceeds its budget.  For
+    the children the branch-and-bound counted against its node budget and
+    the steps of its full-point ceiling decision, which count against the
+    same budget: 0 when the warm start already meets the ceiling, and the
+    budget itself when the budget runs out, so a report never exceeds its
+    budget.  For
     method "greedy" they are the points greedy took, which equals best_s.
     """
 
@@ -320,15 +350,32 @@ class _BranchAndBound:
         self.inc = d.point_incidence
         self.block_mask = d.block_mask
         self.node_budget = node_budget
-        family = classify_equality_order(d.v)
-        sub = None if family is None else find_subsystem(d, family.w)
-        self.ceiling = bound - 1 if family and sub is None else bound
+        self.nodes = 0
+        self.truncated = False
+        # The ceiling decision (module docstring): the m points that a set
+        # reaching the bound leaves miss at most spare of their pairs.
+        m = d.v - bound
+        spare = m * (m - 1) // 2 - 3 * bound
+        sub = None
+        self.ceiling = bound
+        self.decide_at = None
+        self.decision = None
+        if not m & 1:
+            if 2 * spare < m:
+                self.ceiling = bound - 1
+                self.decision = ("parity", bound, "refuted", 0)
+        elif spare == 0:
+            sub = find_subsystem(d, m)
+            if sub is None:
+                self.ceiling = bound - 1
+            self.decision = ("subsystem", bound,
+                             "refuted" if sub is None else "found", 0)
+        elif spare < m:
+            self.decide_at = bound - 1
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
         self.low = (1 << self.shift) - 1
-        self.nodes = 0
-        self.truncated = False
         if sub is None:
             Y, mask = _greedy(d)
         else:
@@ -343,13 +390,99 @@ class _BranchAndBound:
 
         A node is pruned when e + |m_even - o|/2 > limit: see the defect
         bound in the module docstring.  At the ceiling the limit is -1,
-        so every node is pruned.
+        so every node is pruned.  An incumbent one below a bound that the
+        full-point case decides runs that decision, which ends the search.
         """
         self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
         m = self.v - value - 1
         self.limit = (-1 if value >= self.ceiling
                       else m * (m - 1) // 2 - 3 * (value + 1))
         self.m_even = 0 if m & 1 else m
+        if value == self.decide_at:
+            self._decide(value + 1)
+
+    def _decide(self, s):
+        """The full-point case of the ceiling decision (module docstring):
+        does some set reach s, the ceiling?
+
+        Point 0 is tried first and then one point of each other orbit of
+        the automorphism group: an image of W has the image of its full
+        point as its own.  A W found becomes the incumbent; if there is
+        none the ceiling falls to s - 1.  Either way, and when the budget
+        runs out, the limit becomes -1 and the search ends.
+        """
+        before = self.nodes
+        found = self._full_point(0, s)
+        if found is None and not self.truncated:
+            for w in sorted(set(_orbits(self.d)) - {0}):
+                found = self._full_point(w, s)
+                if found is not None or self.truncated:
+                    break
+        outcome = ("budget ran out" if self.truncated
+                   else "refuted" if found is None else "found")
+        self.decision = ("full point", s, outcome, self.nodes - before)
+        if found is None:
+            if not self.truncated:
+                self.ceiling = s - 1
+            self.limit = -1
+            return
+        W, inside = found
+        self._incumbent(s, [p for p in range(self.v) if p not in W], inside)
+
+    def _full_point(self, w, s):
+        """(W, the mask of the blocks inside W) for a set W of v - s points
+        that holds at least s blocks, (v - s - 1)/2 of them through w; or
+        None when there is no such W.
+
+        W is w and the other two points of the blocks through w that the
+        search takes; the points of a dropped block stay out of W, and so
+        do the points on no block with w.  in1 and in2 hold the blocks
+        with at least one and at least two points in W, out those with a
+        point outside W.  A block in in2 and out has exactly two points in
+        W, whose pair no block inside W covers; W may leave at most spare
+        such pairs, so a branch with more is pruned.  Each call counts as
+        a node of the budget; on its end None comes back with
+        self.truncated set.
+        """
+        inc = self.inc
+        m = self.v - s
+        spare = m * (m - 1) // 2 - 3 * s
+        need = (m - 1) // 2
+        pairs = [tuple(p for p in self.d.blocks[i] if p != w)
+                 for i in _bits(inc[w])]
+        hit = [inc[a] | inc[b] for a, b in pairs]
+        out = 0
+        for p in set(range(self.v)).difference([w], *pairs):
+            out |= inc[p]
+        taken = []
+
+        def grow(i, in1, in2, out):
+            if self.nodes == self.node_budget:
+                self.truncated = True
+                return None
+            self.nodes += 1
+            if (in2 & out).bit_count() > spare:
+                return None
+            if len(taken) == need:
+                # The blocks left are dropped.  Every point is then placed,
+                # so the blocks in in2 and not in out lie inside W.
+                for u in hit[i:]:
+                    out |= u
+                inside = in2 & ~out
+                if inside.bit_count() < s:
+                    return None
+                return {w}.union(*(pairs[j] for j in taken)), inside
+            if len(hit) - i < need - len(taken):
+                return None
+            u = hit[i]
+            taken.append(i)
+            found = grow(i + 1, in1 | u, in2 | in1 & u, out)
+            taken.pop()
+            if found is not None or self.truncated:
+                return found
+            return grow(i + 1, in1, in2, out | u)
+
+        return grow(0, inc[w], 0, out)
 
     def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
         y = len(Y)
@@ -426,6 +559,9 @@ def exact_max_nonincident(
     bb = _BranchAndBound(d, node_budget, bound)
     full = d.all_blocks_mask()
     bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
+    if bb.decision is not None:
+        log.info("ceiling decision (%s case): s*=%d %s, %d steps of the "
+                 "node budget", *bb.decision)
     if bb.best > bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bound}"

@@ -1,3 +1,4 @@
+import logging
 import random
 from collections import Counter
 from itertools import combinations
@@ -8,8 +9,10 @@ import pytest
 from nonincidence import (
     Design,
     DesignError,
+    NonincidenceCertificate,
     bose,
     build_sts,
+    classify_equality_order,
     doubling,
     embed_subsystem,
     exact_max_nonincident,
@@ -20,6 +23,8 @@ from nonincidence import (
     verify_certificate,
 )
 from nonincidence import search
+from nonincidence.constructions import _hill_climb
+from nonincidence.design import _bits
 from nonincidence.search import _BranchAndBound, _orbits, kill_bound
 from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle, reference_greedy
 
@@ -103,7 +108,10 @@ class TestExactSearch:
         # root and first-child children symmetric to an earlier sibling
         # keeps v=25 and v=31 (trivial groups) and takes v=27 to 9,236 and
         # doubling15 to 36,234: only the point-transitive v=27 has much
-        # symmetry to skip.
+        # symmetry to skip.  The full-point ceiling decision ends the v=27
+        # search at 2,785: 1,720 nodes reach 15, then 1,065 steps on point
+        # 0 refute 16.  It never runs at v=25 or v=31 (even m, the parity
+        # case, which lowers only v=25's ceiling, to 14, above its 13).
         # bose(21) has no sub-STS(9), so its ceiling is lowered from 12 to
         # 11: the search takes 222 nodes, and 651 without the lowering.
         if v == "doubling15":
@@ -120,9 +128,9 @@ class TestExactSearch:
     @pytest.mark.parametrize(
         "make,nodes",
         [
-            (lambda: doubling(build_sts(9, seed=1))[0], 140),
-            (lambda: build_sts(19, seed=1), 1_996),
-            (lambda: build_sts(27, seed=1), 9_236),
+            (lambda: doubling(build_sts(9, seed=1))[0], 5),
+            (lambda: build_sts(19, seed=1), 5_143),
+            (lambda: build_sts(27, seed=1), 2_785),
             (lambda: bose(15), 132),
         ],
         ids=["doubling9", "sts19", "sts27", "bose15"],
@@ -131,9 +139,15 @@ class TestExactSearch:
         # The search is deterministic, so a change to its warm start, child
         # order or pruning that should leave it alone must keep these
         # counts, not only fit the budgets above.  The orbit skip took
-        # v=27 from 24,121 and bose(15) from 747; doubling9 ends inside
-        # its first child and sts19 has a trivial group, so they kept
-        # their counts.
+        # v=27 from 24,121 and bose(15) from 747.  The full-point ceiling
+        # decision (s* = 10 at v=19, 16 at v=27) took doubling9 from 140
+        # nodes to 5 steps, which find its sub-STS(9) through point 0;
+        # sts19 from 1,996 to 5,143 steps, which refute 10 at every point
+        # after greedy's 9 (a trivial group, so no point is skipped; the
+        # steps take about 4 ms against the tree's 15 ms on a 2-core Xeon
+        # under CPython 3.11); and v=27 from 9,236 to 1,720 nodes
+        # and 1,065 steps, which refute 16 at point 0 of a point-transitive
+        # design.  bose(15) has even m = 8, so it kept its count.
         rep = exact_max_nonincident(make())
         assert rep.exact
         assert rep.nodes_visited == nodes
@@ -385,6 +399,11 @@ class TestDefectBound:
         seen = []
 
         class Recounted(_BranchAndBound):
+            # The full-point decision would end the doubling9 and sts19
+            # searches before the tree; off, the tree runs as before it.
+            def _decide(self, s):
+                pass
+
             def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
                 X = [x for x in range(d.v) if xm >> x & 1]
                 assert sorted(X + Y + list(cands)) == list(range(d.v))
@@ -550,23 +569,30 @@ class TestOrbits:
 
     def test_no_steps_leaves_every_point_alone(self, monkeypatch):
         # Out of steps, no map is found and no child is skipped: the search
-        # is still exact and takes the node count it took before orbits.
+        # is still exact.  It reaches 15 at node 1,720, as with orbits, but
+        # the ceiling decision then refutes 16 at each of the 27 points in
+        # place of point 0 alone: 31,831 nodes and steps in all (24,121
+        # tree nodes before the decision).
         monkeypatch.setattr(search, "_ORBIT_STEPS", 0)
         d = build_sts(27, seed=1)
         assert _orbits(d) == _orbits(d, (0,)) == list(range(27))
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == 15
-        assert rep.nodes_visited == 24_121
+        assert rep.nodes_visited == 31_831
 
-    @pytest.mark.parametrize("make,nodes", [
-        (lambda: build_sts(27, seed=1), 9_236),
-        (lambda: doubling(build_sts(15, seed=1))[0], 36_234),
+    @pytest.mark.parametrize("make,nodes,asked", [
+        (lambda: build_sts(27, seed=1), 2_785, [()]),
+        (lambda: doubling(build_sts(15, seed=1))[0], 36_234, [(0,), ()]),
     ], ids=["sts27", "doubling15"])
     def test_asks_for_the_root_and_the_first_child_stabiliser(
-            self, make, nodes, monkeypatch):
+            self, make, nodes, asked, monkeypatch):
         # One orbit computation for the first child, fixing its point, and
         # one for the root; none at any other node, not even at the later
         # root children that doubling15's 11 root orbits leave to enter.
+        # v=27 reaches 15 below the first child's first child, at node
+        # 1,720, so its first child never reaches a second child: the one
+        # call is the ceiling decision's, for the root orbits, after point
+        # 0 fails; that decision ends the search.
         calls = []
         orbits = search._orbits
 
@@ -579,15 +605,17 @@ class TestOrbits:
         assert rep.exact and rep.nodes_visited == nodes
         # Every point of an STS has the same degree, so the first child
         # adds point 0.
-        assert calls == [(0,), ()]
+        assert calls == asked
 
     def test_no_orbits_when_the_search_ends_in_its_first_child(
             self, monkeypatch):
+        # The ceiling decision finds the sub-STS(9) through point 0 in 5
+        # steps, before the tree, so it never asks for other points.
         calls = []
         monkeypatch.setattr(search, "_orbits",
                             lambda d, fixed=(): calls.append(fixed))
         rep = exact_max_nonincident(doubling(build_sts(9, seed=1))[0])
-        assert rep.exact and rep.nodes_visited == 140
+        assert rep.exact and rep.nodes_visited == 5
         assert calls == []
 
 
@@ -690,6 +718,244 @@ class TestFindSubsystem:
         assert find_subsystem(Design.from_blocks(7, fano.blocks[:6]), 7) is None
         assert find_subsystem(fano, 9) is None
         assert find_subsystem(Design.from_blocks(7, []), 3) is None
+
+
+def _packing_ceiling(v):
+    """max over m of min(v - m, D(m)), D(m) the packing number of m points
+    (Schoenheim 1966, Spencer 1968): the blocks avoiding an s-point set
+    pack the other v - s points."""
+    def pack(m):
+        d = m * ((m - 1) // 2) // 3
+        return d - 1 if m % 6 == 5 else d
+    return max(min(v - m, pack(m)) for m in range(v + 1))
+
+
+# 16 blocks on 11 points with no pair twice (a seeded random greedy
+# packing, less one of its 17 blocks): the fixed part of the v=27
+# witnesses, 16 = s* blocks on m = 27 - 16 points.
+PACKING11 = [
+    (0, 1, 5), (0, 2, 7), (0, 3, 6), (0, 4, 10), (0, 8, 9), (1, 3, 7),
+    (1, 6, 8), (1, 9, 10), (2, 3, 10), (2, 4, 8), (2, 6, 9), (3, 4, 9),
+    (3, 5, 8), (4, 6, 7), (5, 6, 10), (5, 7, 9),
+]
+
+
+def _witness_blocks(v):
+    """s* = nonincidence_upper_bound(v) blocks on the points below
+    m = v - s*, no pair twice; for v = 45 the 30 are bose(15) less its
+    parallel class {x, x + 5, x + 10}, whose leave is five triangles."""
+    if v == 19:
+        return AG23_BLOCKS[:10]
+    if v == 27:
+        return PACKING11
+    if v == 37:
+        return list(build_sts(13, seed=0).blocks[:24])
+    assert v == 45
+    return [b for b in bose(15).blocks if not b[1] - b[0] == b[2] - b[1] == 5]
+
+
+def _packed_witness(v, seed, relabelled=True):
+    """An STS(v) that reaches s*: _hill_climb completes _witness_blocks(v),
+    kept fixed, so the complement of the m points holds s* blocks."""
+    blocks, _, _ = _hill_climb(v, [tuple(b) for b in _witness_blocks(v)],
+                               random.Random(seed), 300_000)
+    d = Design.from_blocks(v, blocks)
+    return relabel(d, seed) if relabelled else d
+
+
+def _agreement_designs():
+    """(id, design): STS(7..19) at seeds 0-3 and a relabelling of each,
+    bose(27) and two relabellings, block subsets of STS(13) and STS(19),
+    and the packed witnesses at v=19 and v=27."""
+    out = []
+    for v in (7, 9, 13, 15, 19):
+        for k in range(4):
+            d = build_sts(v, seed=k)
+            out += [(f"sts{v}_{k}", d), (f"sts{v}_{k}_relabel", relabel(d, k))]
+    out += [("bose27", bose(27))]
+    out += [(f"bose27_relabel{k}", relabel(bose(27), k)) for k in range(2)]
+    for v in (13, 19):
+        d = build_sts(v, seed=1)
+        rng = random.Random(v)
+        out += [(f"sts{v}_subset{k}", Design.from_blocks(
+            v, rng.sample(d.blocks, d.b - 2 - k))) for k in range(3)]
+    out += [(f"witness{v}_{k}", _packed_witness(v, k))
+            for v in (19, 27) for k in range(4)]
+    return out
+
+
+AGREEMENT_DESIGNS = _agreement_designs()
+
+
+class TestCeilingDecision:
+    def test_parity_case_is_the_packing_ceiling(self):
+        # With m = v - s* even, every point of W = V - Y has odd leave
+        # degree, so W misses at least m/2 pairs: 2E < m rules s* out.
+        # Below 400 that happens exactly where the packing-number ceiling
+        # is below s*.  An empty design of each order suffices: the rule
+        # reads only v.
+        lowered = []
+        for v in range(1, 400):
+            if v % 6 not in (1, 3):
+                continue
+            bound = nonincidence_upper_bound(v)
+            bb = _BranchAndBound(Design.from_blocks(v, []), 0, bound)
+            if bb.decision and bb.decision[0] == "parity":
+                assert bb.ceiling == bound - 1
+                lowered.append(v)
+            assert (v in lowered) == (_packing_ceiling(v) < bound)
+        assert len(lowered) == 32
+        assert lowered[:11] == [25, 33, 43, 55, 67, 69, 81, 97, 99, 115, 133]
+        assert lowered[-1] == 391
+
+    def test_subsystem_case_is_the_family_orders(self):
+        # E = 0 with m odd is exactly an equality-family order, so the
+        # subsystem case reads v as classify_equality_order does.
+        for v in range(1, 20_000):
+            if v % 6 in (1, 3):
+                s = nonincidence_upper_bound(v)
+                m = v - s
+                family = classify_equality_order(v)
+                assert (family is not None) == (m % 2 == 1
+                                                and comb(m, 2) == 3 * s)
+                assert family is None or family.w == m
+
+    def test_sts25_seed0_ends_at_its_lowered_ceiling(self, monkeypatch):
+        # s* = 15 at v = 25 has m = 10 even and E = 0: the ceiling is 14,
+        # this design's maximum (MILP-checked under -m slow), so the search
+        # ends at the node that reaches 14.  Without the lowering it ended
+        # there too: at 14 the limit is 0 and the parity term |10 - o|/2,
+        # with e >= o/2, prunes every node, so the count stays 60,100.
+        taken = []
+        incumbent = _BranchAndBound._incumbent
+
+        def record(self, value, Y, mask):
+            taken.append((value, self.nodes))
+            incumbent(self, value, Y, mask)
+
+        monkeypatch.setattr(_BranchAndBound, "_incumbent", record)
+        d = build_sts(25, seed=0)
+        rep = exact_max_nonincident(d)
+        assert rep.exact and rep.best_s == 14 and rep.bound_used == 15
+        assert taken[-1] == (14, rep.nodes_visited) == (14, 60_100)
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    @pytest.mark.parametrize("v", [19, 27])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_reaches_the_bound(self, v, seed):
+        # W holds s* blocks, so the decision must find a W through a full
+        # point.  On these designs the search takes 95-2,201 nodes and
+        # steps at v=19 and 4,743-8,154 at v=27; without the decision the
+        # tree takes 973-1,352 and 7,564-17,191 nodes.
+        d = _packed_witness(v, seed)
+        rep = exact_max_nonincident(d)
+        assert rep.exact and rep.best_s == rep.bound_used
+        assert verify_certificate(d, rep.certificate, require_square=True)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_sts(19, seed=1),
+        lambda: relabel(bose(27), 0),
+    ] + [lambda k=k: build_sts(13, seed=k) for k in range(10)],
+        ids=["sts19", "bose27_relabel"] + [f"sts13_{k}" for k in range(10)])
+    def test_refuted_bound_is_exact_one_below(self, make):
+        d = make()
+        rep = exact_max_nonincident(d)
+        assert rep.exact and rep.best_s == rep.bound_used - 1
+        assert verify_certificate(d, rep.certificate, require_square=True)
+        if d.v <= 15:
+            assert rep.best_s == brute_force_oracle(d)
+
+    @pytest.mark.parametrize("d", [d for _, d in AGREEMENT_DESIGNS],
+                             ids=[name for name, _ in AGREEMENT_DESIGNS])
+    def test_agrees_with_the_search_without_it(self, d, monkeypatch):
+        rep = exact_max_nonincident(d)
+        assert rep.exact
+        assert verify_certificate(d, rep.certificate, require_square=True)
+        monkeypatch.setattr(_BranchAndBound, "_decide", lambda self, s: None)
+        plain = exact_max_nonincident(d)
+        assert (rep.best_s, rep.exact) == (plain.best_s, plain.exact)
+
+    def test_agreement_set_runs_the_decision(self):
+        # At least 50 designs, and the decision both finds and refutes.
+        assert len(AGREEMENT_DESIGNS) >= 50
+        outcomes = Counter()
+        for _, d in AGREEMENT_DESIGNS:
+            bb = _BranchAndBound(d, 10**6, nonincidence_upper_bound(d.v))
+            full = d.all_blocks_mask()
+            bb._rec(list(range(d.v)), [], full, full.bit_count(),
+                    0, 0, 0, 0, 0)
+            if bb.decision and bb.decision[0] == "full point":
+                outcomes[bb.decision[2]] += 1
+        assert outcomes["found"] >= 8 and outcomes["refuted"] >= 20
+
+    def test_refutes_24_on_sts37(self):
+        # No 13 points of build_sts(37, 1) hold 24 blocks: at every point
+        # the search over its 18 blocks fails, without running out.
+        d = build_sts(37, seed=1)
+        bb = _BranchAndBound(d, 10**6, 24)
+        assert all(bb._full_point(w, 24) is None for w in range(37))
+        assert not bb.truncated and bb.nodes > 0
+
+    def test_finds_w_on_a_packed_sts37(self):
+        d = _packed_witness(37, 0, relabelled=False)
+        bb = _BranchAndBound(d, 10**6, 24)
+        W, inside = bb._full_point(0, 24)
+        assert W == set(range(13)) and inside.bit_count() >= 24
+        blocks = [d.blocks[i] for i in _bits(inside)]
+        assert all(set(b) <= W for b in blocks)
+        assert sum(0 in b for b in blocks) == 6
+
+    def test_no_decision_where_w_may_have_no_full_point(self):
+        # v = 45: s* = 30, m = 15 and E = 15 = m, so every point of a W
+        # may miss two pairs.  Here W = 0..14 holds bose(15) less a
+        # parallel class: 30 blocks, and no full point.  An incumbent of
+        # 29 must start no decision, which would refute 30.
+        d = _packed_witness(45, 0, relabelled=False)
+        bb = _BranchAndBound(d, 10**5, 30)
+        bb._incumbent(29, bb.best_Y, bb.best_mask)
+        assert bb.decision is None and bb.ceiling == 30 and bb.nodes == 0
+        inside = [i for i, b in enumerate(d.blocks) if max(b) < 15]
+        cert = NonincidenceCertificate.build(d, range(15, 45), inside)
+        assert verify_certificate(d, cert, require_square=True)
+
+    def test_budget_out_inside_the_decision_is_not_exact(self):
+        # Greedy reaches 9 on build_sts(19, 1), so the decision starts at
+        # once and needs 5,143 steps.
+        d = build_sts(19, seed=1)
+        for budget in (0, 100, 5_142):
+            rep = exact_max_nonincident(d, node_budget=budget)
+            assert not rep.exact
+            assert rep.nodes_visited == budget and rep.best_s == 9
+        assert exact_max_nonincident(d, node_budget=5_143).exact
+
+    @pytest.mark.parametrize("make,budget,line", [
+        (lambda: build_sts(19, seed=1), 10_000,
+         "ceiling decision (full point case): s*=10 refuted, 5143 steps"),
+        (lambda: build_sts(19, seed=1), 100,
+         "ceiling decision (full point case): s*=10 budget ran out, 100 "),
+        (lambda: doubling(build_sts(9, seed=1))[0], 10_000,
+         "ceiling decision (full point case): s*=10 found, 5 steps"),
+        (lambda: bose(21), 10_000,
+         "ceiling decision (subsystem case): s*=12 refuted, 0 steps"),
+        (lambda: build_sts(25, seed=0), 10_000,
+         "ceiling decision (parity case): s*=15 refuted, 0 steps"),
+        (lambda: bose(15), 10_000, None),
+        (lambda: build_sts(37, seed=1), 10_000, None),
+    ], ids=["sts19", "sts19_budget", "doubling9", "bose21", "sts25",
+            "bose15", "sts37"])
+    def test_logs_one_info_line(self, make, budget, line, caplog):
+        # bose(15) has no decision (even m, 2E >= m); build_sts(37, 1)
+        # would have one at an incumbent of 23, which a 10,000-node search
+        # does not reach.
+        with caplog.at_level(logging.INFO, logger="nonincidence"):
+            exact_max_nonincident(make(), node_budget=budget)
+        records = [r for r in caplog.records
+                   if r.name == "nonincidence.search"]
+        if line is None:
+            assert records == []
+        else:
+            assert len(records) == 1 and records[0].levelno == logging.INFO
+            assert records[0].getMessage().startswith(line)
 
 
 class TestGreedy:
