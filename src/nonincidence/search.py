@@ -66,17 +66,21 @@ ceiling decision below.
 
 The search keeps e, o and X with bit operations: x1 and x2 hold the
 blocks with at least one and at least two excluded points, xm the
-excluded points, and the mask o the excluded points with d_x odd (its
-bit count is the o above).  The child adding p gains the blocks through
-p in x2 as defects.  Once that child returns p is excluded, and the
-blocks through p in x1 that meet Y (dead at the node) become defects.
-Each new defect flips the parity of its two points: for each new block,
-the points of its mask inside xm, p included once it is excluded.  d_x
-and o are fixed by Y and X alone, not by best, so a new incumbent needs
-no recount.  The rule is tested at node entry and again after each
-exclusion, where it breaks the sibling loop: every set below a later
-sibling contains Y and avoids X and p, so the bound just tested covers
-it.
+excluded points, the mask o the excluded points with d_x odd (its bit
+count is the o above) and the mask xd those with d_x >= 1, which the
+ceiling decision's floor reads.  The child adding p gains the blocks
+through p in x2 as defects.  Once that child returns p is excluded, and
+the blocks through p in x1 that meet Y (dead at the node) become
+defects.  Each new defect flips the parity of its two points: for each
+new block, the points of its mask inside xm, p included once it is
+excluded.  The new blocks all pass through p, and a pair lies on one
+block, so no other excluded point lies on two of them: the XOR inside xm
+is also their union, p aside, and marks xd's new points.  d_x, o and xd
+are fixed by Y and X alone, not by best, so a new incumbent needs no
+recount.  The rule is
+tested at node entry and again after each exclusion, where it breaks the
+sibling loop: every set below a later sibling contains Y and avoids X
+and p, so the bound just tested covers it.
 
 Symmetry at the top of the tree.  An automorphism h of the design keeps
 |Y| and t(Y), so h(Y) is exactly as good as Y.  Root child l, adding
@@ -99,7 +103,7 @@ E = C(m, 2) - 3*s.  A set Y of s points that reaches s leaves W = V - Y,
 m points with at least s blocks inside them, so at most E pairs of W lie
 on no block inside W.  A point w of W lies on b_w of those blocks and
 misses m - 1 - 2*b_w of its pairs in W: these leave degrees have the
-parity of m - 1 and sum to at most 2E.  That settles three cases.
+parity of m - 1 and sum to at most 2E.  That settles two cases.
 - E = 0: W is a sub-STS(m), and m is odd; these are the equality-family
   orders.  The search looks for one before branching (find_subsystem).
   Its complement, with its interior blocks, is an incumbent that meets the
@@ -107,24 +111,39 @@ parity of m - 1 and sum to at most 2E.  That settles three cases.
 - m even and 2E < m: every leave degree is odd, so they sum to at least
   m > 2E, and no set reaches s: the ceiling is s - 1.  This is
   Schoenheim's packing bound at the root.
-- m odd and 0 < E < m: the leave degrees are even, and if none were 0
-  they would sum to at least 2m > 2E.  So some point w is full: its
+The third case is read at the ceiling these leave, so s, m and E below
+are those of the ceiling: the paper's bound, or one less after the
+parity case, where m is odd and E grows by the old m + 3.
+- m odd and E > 0: the leave degrees are even.  _full_point searches
+  the sets W with a full point w, one that misses none of its pairs: its
   (m - 1)/2 blocks inside W cover all of W, and W is w and the other two
-  points of (m - 1)/2 of its blocks.  _full_point searches these: each
-  block through w is taken, its points joining W, or dropped, its points
-  staying out, and a branch is pruned once more than E pairs of W have
-  their third point outside W, since no block inside W covers them.  At
-  a leaf every point is placed and the blocks with two points in W and
-  none outside lie inside W, so the leaf test is exact.  An automorphism
-  maps W and its full point to another such pair, so point 0 and one
-  point of each other orbit of the group (see _orbits) are enough.
-The full-point case runs once, when the incumbent first reaches s - 1:
-then a W found is a proved maximum, and a refutation lowers the ceiling
-to s - 1, which the incumbent meets; either way the search ends.  Its
-worst case grows as v * C((v - 1)/2, (m - 1)/2), so it runs at no
-other incumbent, and E(s - 1) = E + m + 3 > m + 1 rules the case out one
-below.  Each call of its search counts against the node budget, so a
-budget that runs out inside it ends the search with exact=False.
+  points of (m - 1)/2 of its blocks.  Each block through w is taken, its
+  points joining W, or dropped, its points staying out, and a branch is
+  pruned once more than E pairs of W have their third point outside W,
+  since no block inside W covers them.  At a leaf every point is placed
+  and the blocks with two points in W and none outside lie inside W, so
+  the leaf test is exact.  An automorphism maps W and its full point to
+  another such pair, so point 0 and one point of each other orbit of the
+  group (see _orbits) are enough.
+The full-point case runs once, when the incumbent first reaches s - 1,
+so a W found is a proved maximum and ends the search.  If there is none,
+every leave degree is at least 2.  When E < m they then sum to at least
+2m > 2E: no set reaches s, the ceiling falls to s - 1, which the
+incumbent meets, and the search ends.  When E >= m the search goes on
+with the floor lifted: a node is pruned when 2e + o + 2*(m - |xd|) > 2E.
+A set of more than s points below the node that reaches s has a subset
+of s points that holds Y and reaches s too (if |Y| > s, t(Y) < s, or Y
+would be the incumbent), so only sets W' of m points need be bounded.
+In such a W' a point x of X has an even leave degree of at least d_x and
+at least 2: d_x rounded up to even when x is in xd, and 2 otherwise, as
+for every point of W' outside X.  So the leave degrees sum to at least
+2e + o + 2*(m - |xd|), and to at most 2E.  The test replaces the defect
+test only while the floor is lifted, with limit E; any new incumbent is
+at the ceiling and drops it.  Its worst case grows as
+v * C((v - 1)/2, (m - 1)/2), so the full-point search runs at no other
+incumbent; a ceiling it lowers leaves an even m, so it runs once.  Each
+call of its search counts against the node budget, so a budget that
+runs out inside it ends the search with exact=False.
 """
 
 from __future__ import annotations
@@ -358,20 +377,21 @@ class _BranchAndBound:
         spare = m * (m - 1) // 2 - 3 * bound
         sub = None
         self.ceiling = bound
-        self.decide_at = None
-        self.decision = None
+        self.decisions = []
         if not m & 1:
             if 2 * spare < m:
                 self.ceiling = bound - 1
-                self.decision = ("parity", bound, "refuted", 0)
+                self.decisions.append(("parity", bound, "refuted", 0))
         elif spare == 0:
             sub = find_subsystem(d, m)
             if sub is None:
                 self.ceiling = bound - 1
-            self.decision = ("subsystem", bound,
-                             "refuted" if sub is None else "found", 0)
-        elif spare < m:
-            self.decide_at = bound - 1
+            self.decisions.append(("subsystem", bound,
+                                   "refuted" if sub is None else "found", 0))
+        # The full-point case, at the ceiling these cases leave.
+        s = self.ceiling
+        m = d.v - s
+        self.decide_at = s - 1 if m & 1 and m * (m - 1) // 2 > 3 * s else None
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
@@ -388,16 +408,19 @@ class _BranchAndBound:
     def _incumbent(self, value, Y, mask):
         """Take a new incumbent and the defect limit that beating it sets.
 
-        A node is pruned when e + |m_even - o|/2 > limit: see the defect
-        bound in the module docstring.  At the ceiling the limit is -1,
-        so every node is pruned.  An incumbent one below a bound that the
-        full-point case decides runs that decision, which ends the search.
+        A node is pruned when e + |m_even - o|/2 > limit, or, while the
+        floor is lifted, when e + o/2 + floor - |xd| > limit: see the
+        defect bound and the ceiling decision in the module docstring.  At
+        the ceiling the limit is -1, so every node is pruned.  Any new
+        incumbent drops the floor.  An incumbent one below a ceiling that
+        the full-point case decides runs that decision.
         """
         self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
         m = self.v - value - 1
         self.limit = (-1 if value >= self.ceiling
                       else m * (m - 1) // 2 - 3 * (value + 1))
         self.m_even = 0 if m & 1 else m
+        self.floor = 0
         if value == self.decide_at:
             self._decide(value + 1)
 
@@ -407,9 +430,11 @@ class _BranchAndBound:
 
         Point 0 is tried first and then one point of each other orbit of
         the automorphism group: an image of W has the image of its full
-        point as its own.  A W found becomes the incumbent; if there is
-        none the ceiling falls to s - 1.  Either way, and when the budget
-        runs out, the limit becomes -1 and the search ends.
+        point as its own.  A W found becomes the incumbent, which ends the
+        search.  If there is none and W may miss fewer than m pairs, the
+        ceiling falls to s - 1 and the search ends; otherwise every point
+        of W misses at least two pairs, and the floor is lifted to m.  A
+        budget that runs out ends the search.
         """
         before = self.nodes
         found = self._full_point(0, s)
@@ -418,16 +443,23 @@ class _BranchAndBound:
                 found = self._full_point(w, s)
                 if found is not None or self.truncated:
                     break
+        m = self.v - s
+        ends = m * (m - 1) // 2 - 3 * s < m
         outcome = ("budget ran out" if self.truncated
-                   else "refuted" if found is None else "found")
-        self.decision = ("full point", s, outcome, self.nodes - before)
-        if found is None:
-            if not self.truncated:
-                self.ceiling = s - 1
+                   else "found" if found is not None
+                   else "refuted" if ends else "floor lifted")
+        self.decisions.append(("full point", s, outcome, self.nodes - before))
+        if found is not None:
+            W, inside = found
+            self._incumbent(s, [p for p in range(self.v) if p not in W],
+                            inside)
+        elif self.truncated:
             self.limit = -1
-            return
-        W, inside = found
-        self._incumbent(s, [p for p in range(self.v) if p not in W], inside)
+        elif ends:
+            self.ceiling = s - 1
+            self.limit = -1
+        else:
+            self.floor = m
 
     def _full_point(self, w, s):
         """(W, the mask of the blocks inside W) for a set W of v - s points
@@ -484,12 +516,14 @@ class _BranchAndBound:
 
         return grow(0, inc[w], 0, out)
 
-    def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
+    def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o, xd):
         y = len(Y)
         value = min(y, t)
         if value > self.best:
             self._incumbent(value, Y, mask)
-        if e + (abs(self.m_even - o.bit_count()) >> 1) > self.limit:
+        if (e + (o.bit_count() >> 1) + self.floor - xd.bit_count()
+                if self.floor
+                else e + (abs(self.m_even - o.bit_count()) >> 1)) > self.limit:
             return
         best = self.best
         n = len(cands)
@@ -526,20 +560,24 @@ class _BranchAndBound:
                     return
                 self.nodes += 1
                 new = ip & x2
+                z = _xor_blocks(bm, new) & xm if new else 0
                 Y.append(p)
                 self._rec(pts[i + 1:], Y, mask & ~ip, nt, x1, x2,
-                          e + new.bit_count(), xm,
-                          o ^ (_xor_blocks(bm, new) & xm) if new else o)
+                          e + new.bit_count(), xm, o ^ z, xd | z)
                 Y.pop()
                 if self.truncated:
                     return
             # p is excluded from here on (see the defect bound).
             xm |= 1 << p
             new = ip & x1 & dead
-            e += new.bit_count()
             if new:
-                o ^= _xor_blocks(bm, new) & xm
-            if e + (abs(self.m_even - o.bit_count()) >> 1) > self.limit:
+                e += new.bit_count()
+                z = _xor_blocks(bm, new) & xm
+                o ^= z
+                xd |= z | 1 << p
+            if (e + (o.bit_count() >> 1) + self.floor - xd.bit_count()
+                    if self.floor
+                    else e + (abs(self.m_even - o.bit_count()) >> 1)) > self.limit:
                 break
             x2 |= x1 & ip
             x1 |= ip
@@ -558,10 +596,10 @@ def exact_max_nonincident(
     bound = nonincidence_upper_bound(d.v)
     bb = _BranchAndBound(d, node_budget, bound)
     full = d.all_blocks_mask()
-    bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
-    if bb.decision is not None:
+    bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0, 0)
+    for decision in bb.decisions:
         log.info("ceiling decision (%s case): s*=%d %s, %d steps of the "
-                 "node budget", *bb.decision)
+                 "node budget", *decision)
     if bb.best > bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bound}"

@@ -110,8 +110,12 @@ class TestExactSearch:
         # doubling15 to 36,234: only the point-transitive v=27 has much
         # symmetry to skip.  The full-point ceiling decision ends the v=27
         # search at 2,785: 1,720 nodes reach 15, then 1,065 steps on point
-        # 0 refute 16.  It never runs at v=25 or v=31 (even m, the parity
-        # case, which lowers only v=25's ceiling, to 14, above its 13).
+        # 0 refute 16.  At v=25 the parity case lowers the ceiling to 14
+        # (even m); the full-point decision at 14 (odd m, E = 13 >= m = 11)
+        # then finds no full point in 41,095 steps and lifts the floor, and
+        # the tree proves 13 in 31,489 nodes: 72,584 in all, against
+        # 64,813 tree nodes without the decision.  v=31 has even m and
+        # 2E >= m, so neither case runs there.
         # bose(21) has no sub-STS(9), so its ceiling is lowered from 12 to
         # 11: the search takes 222 nodes, and 651 without the lowering.
         if v == "doubling15":
@@ -130,10 +134,11 @@ class TestExactSearch:
         [
             (lambda: doubling(build_sts(9, seed=1))[0], 5),
             (lambda: build_sts(19, seed=1), 5_143),
+            (lambda: build_sts(25, seed=1), 72_584),
             (lambda: build_sts(27, seed=1), 2_785),
             (lambda: bose(15), 132),
         ],
-        ids=["doubling9", "sts19", "sts27", "bose15"],
+        ids=["doubling9", "sts19", "sts25", "sts27", "bose15"],
     )
     def test_ladder_node_counts(self, make, nodes):
         # The search is deterministic, so a change to its warm start, child
@@ -147,7 +152,10 @@ class TestExactSearch:
         # steps take about 4 ms against the tree's 15 ms on a 2-core Xeon
         # under CPython 3.11); and v=27 from 9,236 to 1,720 nodes
         # and 1,065 steps, which refute 16 at point 0 of a point-transitive
-        # design.  bose(15) has even m = 8, so it kept its count.
+        # design.  bose(15) has even m = 8, so it kept its count.  v=25
+        # went from 64,813 tree nodes to 41,095 steps that refute a full
+        # point at 14 and 31,489 nodes under the lifted floor: fewer tree
+        # nodes and cheaper steps, about 0.48 s to 0.29 s on that Xeon.
         rep = exact_max_nonincident(make())
         assert rep.exact
         assert rep.nodes_visited == nodes
@@ -155,11 +163,12 @@ class TestExactSearch:
     @pytest.mark.slow
     def test_bose33_proved_within_budget(self):
         # 14,458,809 nodes without the defect bound, 3,257,763 with it but
-        # without its parity term, 2,146,188 with both, and 616,148 once
-        # root and first-child children symmetric to an earlier sibling
-        # are skipped.
+        # without its parity term, 2,146,188 with both, 616,148 once root
+        # and first-child children symmetric to an earlier sibling are
+        # skipped, and 294,090 once a refuted full point at the lowered
+        # ceiling 20 lifts the floor (9,907 of them decision steps).
         d = bose(33)
-        rep = exact_max_nonincident(d, node_budget=700_000)
+        rep = exact_max_nonincident(d, node_budget=300_000)
         assert rep.exact
         assert rep.best_s == 19
         assert verify_certificate(d, rep.certificate, require_square=True)
@@ -329,6 +338,29 @@ def _third_points(d):
     return third
 
 
+def _recount(d, third, Y, X):
+    """x1, x2, e, o and xd of a node with points Y and excluded points X,
+    counted from the blocks: the blocks with at least one and at least two
+    points in X, the defects (pairs of X whose third point is in Y), and
+    the points of X on an odd number of defects and on any."""
+    on = [len(set(blk) & set(X)) for blk in d.blocks]
+    x1 = sum(1 << i for i, k in enumerate(on) if k >= 1)
+    x2 = sum(1 << i for i, k in enumerate(on) if k >= 2)
+    defects = [ab for ab in combinations(X, 2) if third.get(ab) in Y]
+    odd = hit = 0
+    for a, b in defects:
+        odd ^= 1 << a | 1 << b
+        hit |= 1 << a | 1 << b
+    return x1, x2, len(defects), odd, hit
+
+
+def _sts25_subset(drop, seed):
+    """build_sts(25, 1) less drop blocks, drawn by random.Random(seed)."""
+    d = build_sts(25, seed=1)
+    return Design.from_blocks(
+        25, random.Random(seed).sample(d.blocks, d.b - drop))
+
+
 class TestDefectBound:
     @pytest.mark.parametrize(
         "make",
@@ -381,51 +413,54 @@ class TestDefectBound:
             assert 3 * base.bit_count() <= room(d.v - len(Y))
 
     @pytest.mark.parametrize(
-        "make",
+        "make,decide",
         [
-            lambda: bose(15),
-            lambda: doubling(build_sts(9, seed=1))[0],
-            lambda: build_sts(19, seed=1),
-            lambda: bose(21),
+            (lambda: bose(15), False),
+            (lambda: doubling(build_sts(9, seed=1))[0], False),
+            (lambda: build_sts(19, seed=1), False),
+            (lambda: bose(21), False),
+            (lambda: _sts25_subset(30, 3008), True),
         ],
-        ids=["bose15", "doubling9", "sts19", "bose21"],
+        ids=["bose15", "doubling9", "sts19", "bose21", "sts25_subset"],
     )
-    def test_kept_counts_match_a_recount_at_every_node(self, make):
-        # The search keeps x1, x2, e and the odd-defect mask o as it goes;
-        # at every node they must equal a recount from Y and the excluded
-        # points xm alone, and Y, xm and the candidates split the points.
+    def test_kept_counts_match_a_recount_at_every_node(self, make, decide):
+        # The search keeps x1, x2, e, the odd-defect mask o and the defect
+        # mask xd as it goes; at every node they must equal a recount from
+        # Y and the excluded points xm alone, and Y, xm and the candidates
+        # split the points.  The full-point decision would end the
+        # doubling9 and sts19 searches before the tree, so it is off there
+        # and the tree runs as before it.  On the v=25 subset greedy stops
+        # at 12 and the tree reaches 13, where the decision lifts the
+        # floor, so the nodes after it read xd; no node before it may.
         d = make()
         third = _third_points(d)
-        seen = []
+        seen, floors = [], []
 
         class Recounted(_BranchAndBound):
-            # The full-point decision would end the doubling9 and sts19
-            # searches before the tree; off, the tree runs as before it.
             def _decide(self, s):
-                pass
+                if decide:
+                    super()._decide(s)
 
-            def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o):
+            def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o, xd):
                 X = [x for x in range(d.v) if xm >> x & 1]
                 assert sorted(X + Y + list(cands)) == list(range(d.v))
-                on = [len(set(blk) & set(X)) for blk in d.blocks]
-                assert x1 == sum(1 << i for i, k in enumerate(on) if k >= 1)
-                assert x2 == sum(1 << i for i, k in enumerate(on) if k >= 2)
-                defects = [ab for ab in combinations(X, 2) if third[ab] in Y]
-                odd = 0
-                for a, b in defects:
-                    odd ^= 1 << a | 1 << b
-                assert (e, o) == (len(defects), odd)
-                seen.append(o)
-                return super()._rec(cands, Y, mask, t, x1, x2, e, xm, o)
+                assert (x1, x2, e, o, xd) == _recount(d, third, Y, X)
+                seen.append((o, xd))
+                floors.append(self.floor)
+                return super()._rec(cands, Y, mask, t, x1, x2, e, xm, o, xd)
 
         bb = Recounted(d, node_budget=10**6,
                        bound=nonincidence_upper_bound(d.v))
         assert bb.best < bb.ceiling
         full = d.all_blocks_mask()
-        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
+        bb._rec(list(range(d.v)), [], full, full.bit_count(),
+                0, 0, 0, 0, 0, 0)
         assert not bb.truncated
         assert bb.best == exact_max_nonincident(d).best_s
-        assert len(seen) > 100 and any(seen)
+        assert len(seen) > 100 and any(o for o, _ in seen)
+        assert any(o != xd for o, xd in seen)
+        assert floors == sorted(floors)
+        assert set(floors) == ({0, 11} if decide else {0})
 
     def test_set_meeting_the_count_is_kept(self):
         # The complement of a sub-STS(9) in an STS(21) has 12 points and 12
@@ -439,7 +474,8 @@ class TestDefectBound:
         bb._incumbent(11, bb.best_Y, bb.best_mask)
         assert bb.limit == 0
         full = d.all_blocks_mask()
-        bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0)
+        bb._rec(list(range(d.v)), [], full, full.bit_count(),
+                0, 0, 0, 0, 0, 0)
         assert bb.best == bb.ceiling == 12 and bb.limit == -1
 
     def test_paper_bound_is_the_count_at_the_root(self):
@@ -786,6 +822,18 @@ def _agreement_designs():
 
 AGREEMENT_DESIGNS = _agreement_designs()
 
+# Designs whose full-point decision has E >= m, so that a refutation lifts
+# the floor: build_sts(25, k) for k = 0-5, a relabelling, four block
+# subsets of build_sts(25, 1) (greedy stops at 12 on the last two, so the
+# decision runs inside the tree, not at the root), and bose(33), whose
+# search takes seconds.
+LIFT_DESIGNS = (
+    [(f"sts25_{k}", build_sts(25, seed=k)) for k in range(6)]
+    + [("sts25_relabel", relabel(build_sts(25, seed=1), 1))]
+    + [(f"sts25_less{drop}", _sts25_subset(drop, seed))
+       for drop, seed in ((1, 100), (10, 1000), (25, 2504), (30, 3008))]
+    + [("bose33", bose(33))])
+
 
 class TestCeilingDecision:
     def test_parity_case_is_the_packing_ceiling(self):
@@ -800,7 +848,7 @@ class TestCeilingDecision:
                 continue
             bound = nonincidence_upper_bound(v)
             bb = _BranchAndBound(Design.from_blocks(v, []), 0, bound)
-            if bb.decision and bb.decision[0] == "parity":
+            if any(kind == "parity" for kind, *_ in bb.decisions):
                 assert bb.ceiling == bound - 1
                 lowered.append(v)
             assert (v in lowered) == (_packing_ceiling(v) < bound)
@@ -825,7 +873,11 @@ class TestCeilingDecision:
         # this design's maximum (MILP-checked under -m slow), so the search
         # ends at the node that reaches 14.  Without the lowering it ended
         # there too: at 14 the limit is 0 and the parity term |10 - o|/2,
-        # with e >= o/2, prunes every node, so the count stays 60,100.
+        # with e >= o/2, prunes every node.  That took 60,100 tree nodes.
+        # Now greedy's 13 runs the full-point decision at 14, which finds
+        # no full point in 41,159 steps (no W of this design that reaches
+        # 14 has one) and lifts the floor; the tree then reaches 14 at
+        # node 30,320 of its own: 71,479 in all.
         taken = []
         incumbent = _BranchAndBound._incumbent
 
@@ -837,7 +889,7 @@ class TestCeilingDecision:
         d = build_sts(25, seed=0)
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == 14 and rep.bound_used == 15
-        assert taken[-1] == (14, rep.nodes_visited) == (14, 60_100)
+        assert taken[-1] == (14, rep.nodes_visited) == (14, 71_479)
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     @pytest.mark.parametrize("v", [19, 27])
@@ -865,10 +917,20 @@ class TestCeilingDecision:
         if d.v <= 15:
             assert rep.best_s == brute_force_oracle(d)
 
-    @pytest.mark.parametrize("d", [d for _, d in AGREEMENT_DESIGNS],
-                             ids=[name for name, _ in AGREEMENT_DESIGNS])
-    def test_agrees_with_the_search_without_it(self, d, monkeypatch):
-        rep = exact_max_nonincident(d)
+    @pytest.mark.parametrize("d,lifts", [
+        pytest.param(d, False, id=name) for name, d in AGREEMENT_DESIGNS
+    ] + [
+        pytest.param(d, True, id=name,
+                     marks=[pytest.mark.slow] if name == "bose33" else [])
+        for name, d in LIFT_DESIGNS])
+    def test_agrees_with_the_search_without_it(self, d, lifts, monkeypatch,
+                                               caplog):
+        # On LIFT_DESIGNS the refutation lifts the floor rather than
+        # ending the search, and the tree under the floor must find and
+        # prove what the tree without the decision does.
+        with caplog.at_level(logging.INFO, logger="nonincidence"):
+            rep = exact_max_nonincident(d)
+        assert (" floor lifted, " in caplog.text) == lifts
         assert rep.exact
         assert verify_certificate(d, rep.certificate, require_square=True)
         monkeypatch.setattr(_BranchAndBound, "_decide", lambda self, s: None)
@@ -883,10 +945,22 @@ class TestCeilingDecision:
             bb = _BranchAndBound(d, 10**6, nonincidence_upper_bound(d.v))
             full = d.all_blocks_mask()
             bb._rec(list(range(d.v)), [], full, full.bit_count(),
-                    0, 0, 0, 0, 0)
-            if bb.decision and bb.decision[0] == "full point":
-                outcomes[bb.decision[2]] += 1
+                    0, 0, 0, 0, 0, 0)
+            for kind, _, outcome, _ in bb.decisions:
+                if kind == "full point":
+                    outcomes[outcome] += 1
         assert outcomes["found"] >= 8 and outcomes["refuted"] >= 20
+
+    def test_a_new_incumbent_drops_the_floor(self):
+        # Greedy's 13 on build_sts(25, 1) runs the decision at once, which
+        # lifts the floor to m = 11 under the limit E = 13.  The floor
+        # bounds only sets of 14 points; an incumbent of 14 meets the
+        # ceiling, and its limit of -1 stands alone.
+        d = build_sts(25, seed=1)
+        bb = _BranchAndBound(d, 10**6, 15)
+        assert (bb.best, bb.ceiling, bb.limit, bb.floor) == (13, 14, 13, 11)
+        bb._incumbent(14, bb.best_Y, bb.best_mask)
+        assert (bb.limit, bb.floor) == (-1, 0)
 
     def test_refutes_24_on_sts37(self):
         # No 13 points of build_sts(37, 1) hold 24 blocks: at every point
@@ -905,18 +979,35 @@ class TestCeilingDecision:
         assert all(set(b) <= W for b in blocks)
         assert sum(0 in b for b in blocks) == 6
 
-    def test_no_decision_where_w_may_have_no_full_point(self):
+    def test_floor_keeps_a_w_without_a_full_point(self):
         # v = 45: s* = 30, m = 15 and E = 15 = m, so every point of a W
         # may miss two pairs.  Here W = 0..14 holds bose(15) less a
         # parallel class: 30 blocks, and no full point.  An incumbent of
-        # 29 must start no decision, which would refute 30.
+        # 29 runs the decision, which refutes a full point and lifts the
+        # floor to 15: the ceiling stays 30.
         d = _packed_witness(45, 0, relabelled=False)
-        bb = _BranchAndBound(d, 10**5, 30)
-        bb._incumbent(29, bb.best_Y, bb.best_mask)
-        assert bb.decision is None and bb.ceiling == 30 and bb.nodes == 0
         inside = [i for i, b in enumerate(d.blocks) if max(b) < 15]
         cert = NonincidenceCertificate.build(d, range(15, 45), inside)
         assert verify_certificate(d, cert, require_square=True)
+        bb = _BranchAndBound(d, 2 * 10**6, 30)
+        assert bb.best < 29
+        bb._incumbent(29, bb.best_Y, bb.best_mask)
+        assert bb.decisions == [("full point", 30, "floor lifted", 1_386_415)]
+        assert (bb.ceiling, bb.limit, bb.floor) == (30, 15, 15)
+        # The node with X = W and Y all but point 44 must be kept.  Each
+        # point of W misses exactly two pairs, so it adds exactly 2 to
+        # 2e + o + 2(m - |xd|), whichever of its pairs are defects yet:
+        # the sum is 30 = 2E, and a prune one too eager loses W.
+        Y, X = list(range(15, 44)), list(range(15))
+        x1, x2, e, o, xd = _recount(d, _third_points(d), Y, X)
+        assert 2 * e + o.bit_count() + 2 * (15 - xd.bit_count()) == 30
+        mask = d.all_blocks_mask()
+        for p in Y:
+            mask &= ~d.point_incidence[p]
+        bb._rec([44], Y, mask, mask.bit_count(), x1, x2, e, (1 << 15) - 1,
+                o, xd)
+        assert bb.best == 30
+        assert sorted(bb.best_Y) == list(range(15, 45))
 
     def test_budget_out_inside_the_decision_is_not_exact(self):
         # Greedy reaches 9 on build_sts(19, 1), so the decision starts at
@@ -928,34 +1019,36 @@ class TestCeilingDecision:
             assert rep.nodes_visited == budget and rep.best_s == 9
         assert exact_max_nonincident(d, node_budget=5_143).exact
 
-    @pytest.mark.parametrize("make,budget,line", [
+    @pytest.mark.parametrize("make,budget,lines", [
         (lambda: build_sts(19, seed=1), 10_000,
-         "ceiling decision (full point case): s*=10 refuted, 5143 steps"),
+         ["ceiling decision (full point case): s*=10 refuted, 5143 steps"]),
         (lambda: build_sts(19, seed=1), 100,
-         "ceiling decision (full point case): s*=10 budget ran out, 100 "),
+         ["ceiling decision (full point case): s*=10 budget ran out, 100 "]),
         (lambda: doubling(build_sts(9, seed=1))[0], 10_000,
-         "ceiling decision (full point case): s*=10 found, 5 steps"),
+         ["ceiling decision (full point case): s*=10 found, 5 steps"]),
         (lambda: bose(21), 10_000,
-         "ceiling decision (subsystem case): s*=12 refuted, 0 steps"),
-        (lambda: build_sts(25, seed=0), 10_000,
-         "ceiling decision (parity case): s*=15 refuted, 0 steps"),
-        (lambda: bose(15), 10_000, None),
-        (lambda: build_sts(37, seed=1), 10_000, None),
+         ["ceiling decision (subsystem case): s*=12 refuted, 0 steps"]),
+        (lambda: build_sts(25, seed=0), 100_000,
+         ["ceiling decision (parity case): s*=15 refuted, 0 steps",
+          "ceiling decision (full point case): s*=14 floor lifted, 41159 "]),
+        (lambda: bose(15), 10_000, []),
+        (lambda: build_sts(37, seed=1), 10_000, []),
     ], ids=["sts19", "sts19_budget", "doubling9", "bose21", "sts25",
             "bose15", "sts37"])
-    def test_logs_one_info_line(self, make, budget, line, caplog):
-        # bose(15) has no decision (even m, 2E >= m); build_sts(37, 1)
-        # would have one at an incumbent of 23, which a 10,000-node search
-        # does not reach.
+    def test_logs_one_info_line(self, make, budget, lines, caplog):
+        # One INFO line per decision, in the order they are made: v=25
+        # lowers its ceiling by parity and then decides the full-point
+        # case at 14.  bose(15) has no decision (even m, 2E >= m);
+        # build_sts(37, 1) would have one at an incumbent of 23, which a
+        # 10,000-node search does not reach.
         with caplog.at_level(logging.INFO, logger="nonincidence"):
             exact_max_nonincident(make(), node_budget=budget)
         records = [r for r in caplog.records
                    if r.name == "nonincidence.search"]
-        if line is None:
-            assert records == []
-        else:
-            assert len(records) == 1 and records[0].levelno == logging.INFO
-            assert records[0].getMessage().startswith(line)
+        assert len(records) == len(lines)
+        for record, line in zip(records, lines):
+            assert record.levelno == logging.INFO
+            assert record.getMessage().startswith(line)
 
 
 class TestGreedy:
