@@ -32,55 +32,63 @@ t - K <= best.  K >= 0, so this also prunes a node with t <= best; a
 node with fewer than need candidates is pruned here or has no child that
 passes the sibling loop's size test.
 
-Defect bound, the paper's count inside the tree.  The excluded points X
-of a node are its earlier siblings at every depth: no set Y' reached
-below the node contains them, so they stay in W' = V - Y'.  A defect is
-a pair of X whose block has its third point in Y; let e count them and
-d_x the defects at x.  The blocks avoiding Y' lie inside W', and each
-covers three pairs of W' that no other block covers.  A defect is not
-among them, since its one block meets Y.  Count per point, with
-M = |W'|: the blocks inside W' through x cover x's M - 1 pairs in W' two
-at a time and miss its d_x defects, so x lies on at most
-floor((M - 1 - d_x)/2) of them (d_x = 0 outside X).  Summing over W'
-gives 3*t(Y') <= C(M, 2) - e - h, which holds for partial systems too.
-The floors take 1/2 from each point with M - 1 - d_x odd.  Let o count
-the points of X with d_x odd (o is even, as the d_x sum to 2e).  For
-odd M those points are the o, so h = o/2; for even M they are the M - o
-points with d_x even, so h = (M - o)/2.  Each point's term grows with M
-and the points added to W' add terms >= 0, so the bound never falls as
-M grows.  Beating best needs |Y'| >= best + 1, so M <= m = v - best - 1,
-and t(Y') >= best + 1: the node is pruned when
-e + h(m, o) > C(m, 2) - 3*(best + 1).  With h = 0 this is the pair count
-alone.  The search writes h as |m' - o|/2, with m' = m for even m and 0
-for odd m.  That is (m - o)/2 wherever o <= |X| <= m; where |X| > m, no
-set inside V - X reaches best + 1 points and the size rule prunes the
-same node.  The limit C(m, 2) - 3*(best + 1) and m' change only with
-the incumbent, so they are set there.
+Leave-degree floor, the paper's count inside the tree.  Beating best
+needs a set Y' with |Y'| and t(Y') both at least s = best + 1.  If
+|Y| > s, then t(Y) < s, or Y would be the incumbent, and no set below the
+node reaches s; otherwise a larger Y' that reaches s has a subset of s
+points that holds Y and reaches s too.  So only sets of s points need be
+bounded.  Such a Y' leaves W' = V - Y', m = v - s points that hold the
+t(Y') >= s blocks avoiding Y'.  A point p of W' on b_p of them misses
+l_p = m - 1 - 2*b_p of its pairs in W'.  These leave degrees have the
+parity of m - 1, and each block inside W' covers three pairs of W' that
+no other block covers, so they sum to m(m - 1) - 6*t(Y') <= 2E, where
+2E = m(m - 1) - 6*s.  This holds for partial systems too.
 
-The paper's bound is this count at the root.  nonincidence_upper_bound(v)
-is the largest s with C(v - s, 2) >= 3*s, so an incumbent that meets it
-leaves a limit below 0 and every node is pruned: the incumbent is a proved
-maximum and the search ends with exact=True.  The search sets the limit
-to -1 at its ceiling, which is this bound or the bound lowered by the
-ceiling decision below.
+The excluded points X of a node are its earlier siblings at every depth:
+no set Y' reached below the node contains them, so they stay in W'.  A
+defect is a pair of X whose block has its third point in Y; let e count
+them and d_x the defects at x.  No block inside W' covers a defect, since
+its one block meets Y, so l_x is at least d_x rounded up to the parity of
+m - 1.  Let f be a floor on every leave degree in W', with the parity of
+m - 1: f = (m - 1) mod 2 from the parity alone, or 2 where the ceiling
+decision below lifts it.  Let T hold the points of X with d_x >= 1 and o
+count those with d_x odd (o is even, as the d_x sum to 2e).  At a point
+of T, d_x rounded up is at least f, as f <= 2, and the rounding adds 1
+where d_x has the other parity from m - 1: at the o points for odd m, at
+the |T| - o others for even m.  Every other point of W' has l_p >= f.  So
+the node is pruned when
+
+    2e + (o if m is odd else |T| - o) + f*(m - |T|) > 2E.
+
+With the parity floor this is e + o/2 > E for odd m and e + (m - o)/2 > E
+for even m: the pair count with a half taken from each point whose
+m - 1 - d_x is odd.  Where |T| > m, no set inside V - X reaches s points
+and the size rule prunes the same node.  The limit 2E, m and f change
+only with the incumbent, so they are set there.
+
+The paper's bound is this count at the root, where e = o = |T| = 0, so the
+sum is f*m.  nonincidence_upper_bound(v) is the largest s with
+C(v - s, 2) >= 3*s, so an incumbent that meets it leaves 2E below 0 and
+every node is pruned: the incumbent is a proved maximum and the search
+ends with exact=True.  The search sets the limit to -1 at its ceiling,
+which is this bound or the bound lowered by the ceiling decision below.
 
 The search keeps e, o and X with bit operations: x1 and x2 hold the
 blocks with at least one and at least two excluded points, xm the
 excluded points, the mask o the excluded points with d_x odd (its bit
-count is the o above) and the mask xd those with d_x >= 1, which the
-ceiling decision's floor reads.  The child adding p gains the blocks
-through p in x2 as defects.  Once that child returns p is excluded, and
-the blocks through p in x1 that meet Y (dead at the node) become
-defects.  Each new defect flips the parity of its two points: for each
-new block, the points of its mask inside xm, p included once it is
-excluded.  The new blocks all pass through p, and a pair lies on one
-block, so no other excluded point lies on two of them: the XOR inside xm
-is also their union, p aside, and marks xd's new points.  d_x, o and xd
-are fixed by Y and X alone, not by best, so a new incumbent needs no
-recount.  The rule is
-tested at node entry and again after each exclusion, where it breaks the
-sibling loop: every set below a later sibling contains Y and avoids X
-and p, so the bound just tested covers it.
+count is the o above) and the mask xd, which is T.  The child adding p
+gains the blocks through p in x2 as defects.  Once that child returns p
+is excluded, and the blocks through p in x1 that meet Y (dead at the
+node) become defects.  Each new defect flips the parity of its two
+points: for each new block, the points of its mask inside xm, p included
+once it is excluded.  The new blocks all pass through p, and a pair lies
+on one block, so no other excluded point lies on two of them: the XOR
+inside xm is also their union, p aside, and marks xd's new points.  d_x,
+o and xd are fixed by Y and X alone, not by best, so a new incumbent
+needs no recount.  The rule is tested at node entry and again after each
+exclusion, where it breaks the sibling loop: every set below a later
+sibling contains Y and avoids X and p, so the bound just tested covers
+it.
 
 Symmetry at the top of the tree.  An automorphism h of the design keeps
 |Y| and t(Y), so h(Y) is exactly as good as Y.  Root child l, adding
@@ -94,56 +102,44 @@ with |Y| = 1 and no excluded point, for the h that fix its point p0: a
 set there only has to hold p0, and h(Y') does.  Any other node would
 need the orbits of its own stabiliser, so no other node skips.  A skipped
 child is neither entered nor counted, but its point is excluded as an
-explored child's is, and the defect test after it still runs.  Orbits
+explored child's is, and the floor test after it still runs.  Orbits
 are computed when a sibling loop first reaches its second child, so a
 search that ends inside its first child computes none.
 
-Ceiling decision.  Let s be the paper's bound, m = v - s and
-E = C(m, 2) - 3*s.  A set Y of s points that reaches s leaves W = V - Y,
-m points with at least s blocks inside them, so at most E pairs of W lie
-on no block inside W.  A point w of W lies on b_w of those blocks and
-misses m - 1 - 2*b_w of its pairs in W: these leave degrees have the
-parity of m - 1 and sum to at most 2E.  That settles two cases.
-- E = 0: W is a sub-STS(m), and m is odd; these are the equality-family
-  orders.  The search looks for one before branching (find_subsystem).
-  Its complement, with its interior blocks, is an incumbent that meets the
-  ceiling; if there is none the ceiling is s - 1.
-- m even and 2E < m: every leave degree is odd, so they sum to at least
-  m > 2E, and no set reaches s: the ceiling is s - 1.  This is
-  Schoenheim's packing bound at the root.
-The third case is read at the ceiling these leave, so s, m and E below
-are those of the ceiling: the paper's bound, or one less after the
-parity case, where m is odd and E grows by the old m + 3.
-- m odd and E > 0: the leave degrees are even.  _full_point searches
-  the sets W with a full point w, one that misses none of its pairs: its
-  (m - 1)/2 blocks inside W cover all of W, and W is w and the other two
-  points of (m - 1)/2 of its blocks.  Each block through w is taken, its
-  points joining W, or dropped, its points staying out, and a branch is
-  pruned once more than E pairs of W have their third point outside W,
-  since no block inside W covers them.  At a leaf every point is placed
-  and the blocks with two points in W and none outside lie inside W, so
-  the leaf test is exact.  An automorphism maps W and its full point to
-  another such pair, so point 0 and one point of each other orbit of the
-  group (see _orbits) are enough.
-The full-point case runs once, when the incumbent first reaches s - 1,
-so a W found is a proved maximum and ends the search.  If there is none,
-every leave degree is at least 2.  When E < m they then sum to at least
-2m > 2E: no set reaches s, the ceiling falls to s - 1, which the
-incumbent meets, and the search ends.  When E >= m the search goes on
-with the floor lifted: a node is pruned when 2e + o + 2*(m - |xd|) > 2E.
-A set of more than s points below the node that reaches s has a subset
-of s points that holds Y and reaches s too (if |Y| > s, t(Y) < s, or Y
-would be the incumbent), so only sets W' of m points need be bounded.
-In such a W' a point x of X has an even leave degree of at least d_x and
-at least 2: d_x rounded up to even when x is in xd, and 2 otherwise, as
-for every point of W' outside X.  So the leave degrees sum to at least
-2e + o + 2*(m - |xd|), and to at most 2E.  The test replaces the defect
-test only while the floor is lifted, with limit E; any new incumbent is
-at the ceiling and drops it.  Its worst case grows as
-v * C((v - 1)/2, (m - 1)/2), so the full-point search runs at no other
-incumbent; a ceiling it lowers leaves an even m, so it runs once.  Each
-call of its search counts against the node budget, so a budget that
-runs out inside it ends the search with exact=False.
+Ceiling decision.  At the root the sum is f*m, so f*m > 2E refutes s
+before any tree.  The search walks its ceiling down from the paper's bound
+by this test (_decide).  At the ceiling s, f starts at (m - 1) mod 2.  At
+f = 0 a search over W looks for a set W that reaches s with a point of
+leave degree 0; a W found is an incumbent that meets the ceiling.  If
+there is none, every leave degree is even and at least 2, so f rises to 2.
+The three cases of the paper's count are three values of f.
+- f = 1, m even: no W search, and m > 2E refutes s.  This is Schoenheim's
+  packing bound at the root.  It is tested when the search starts.
+- f = 0 and E = 0: every leave degree is 0, so W is a sub-STS(m); these
+  are the equality-family orders.  The W search is find_subsystem, run
+  when the search starts.  If there is none, 2m > 0 refutes s.
+- f = 0 and E > 0, m odd: _full_point searches the sets W with a full
+  point w, one that misses none of its pairs: its (m - 1)/2 blocks inside
+  W cover all of W, and W is w and the other two points of (m - 1)/2 of
+  its blocks.  Each block through w is taken, its points joining W, or
+  dropped, its points staying out, and a branch is pruned once more than
+  E pairs of W have their third point outside W, since no block inside W
+  covers them.  At a leaf every point is placed and the blocks with two
+  points in W and none outside lie inside W, so the leaf test is exact.
+  An automorphism maps W and its full point to another such pair, so
+  point 0 and then one point of each other orbit of the group (see
+  _orbits) are enough.  Its worst case grows as v * C((v - 1)/2, (m - 1)/2),
+  so it runs once, when the incumbent first reaches s - 1, and a W found
+  ends the search.  If there is none and 2m > 2E, s is refuted: the
+  ceiling falls to s - 1, which the incumbent meets, and the search ends.
+  Otherwise the tree goes on with f = 2 until a new incumbent, which meets
+  the ceiling.
+A refuted s leaves the ceiling s - 1, where m is one larger: odd after
+the parity case, so the full-point case may run there, and even after the
+other two, so no case follows them.  So each case runs at most once.  Each
+step
+of the full-point search counts against the node budget, so a budget
+that runs out inside it ends the search with exact=False.
 """
 
 from __future__ import annotations
@@ -171,8 +167,8 @@ class SearchReport:
     the steps of its full-point ceiling decision, which count against the
     same budget: 0 when the warm start already meets the ceiling, and the
     budget itself when the budget runs out, so a report never exceeds its
-    budget.  For
-    method "greedy" they are the points greedy took, which equals best_s.
+    budget.  For method "greedy" they are the points greedy took, which
+    equals best_s.
     """
 
     best_s: int
@@ -371,100 +367,91 @@ class _BranchAndBound:
         self.node_budget = node_budget
         self.nodes = 0
         self.truncated = False
-        # The ceiling decision (module docstring): the m points that a set
-        # reaching the bound leaves miss at most spare of their pairs.
-        m = d.v - bound
-        spare = m * (m - 1) // 2 - 3 * bound
-        sub = None
-        self.ceiling = bound
-        self.decisions = []
-        if not m & 1:
-            if 2 * spare < m:
-                self.ceiling = bound - 1
-                self.decisions.append(("parity", bound, "refuted", 0))
-        elif spare == 0:
-            sub = find_subsystem(d, m)
-            if sub is None:
-                self.ceiling = bound - 1
-            self.decisions.append(("subsystem", bound,
-                                   "refuted" if sub is None else "found", 0))
-        # The full-point case, at the ceiling these cases leave.
-        s = self.ceiling
-        m = d.v - s
-        self.decide_at = s - 1 if m & 1 and m * (m - 1) // 2 > 3 * s else None
+        self.orbits = {}
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
         self.low = (1 << self.shift) - 1
-        if sub is None:
+        self.ceiling = bound
+        self.decisions = []
+        # No incumbent yet, so the decision runs only the cases that need
+        # none; a sub-STS found becomes the incumbent.
+        self.best = None
+        self._decide()
+        if self.best is None:
             Y, mask = _greedy(d)
-        else:
-            Y = sorted(set(range(d.v)).difference(sub))
-            mask = d.all_blocks_mask()
-            for p in Y:
-                mask &= ~self.inc[p]
-        self._incumbent(min(len(Y), mask.bit_count()), Y, mask)
+            self._incumbent(min(len(Y), mask.bit_count()), Y, mask)
 
     def _incumbent(self, value, Y, mask):
-        """Take a new incumbent and the defect limit that beating it sets.
-
-        A node is pruned when e + |m_even - o|/2 > limit, or, while the
-        floor is lifted, when e + o/2 + floor - |xd| > limit: see the
-        defect bound and the ceiling decision in the module docstring.  At
-        the ceiling the limit is -1, so every node is pruned.  Any new
-        incumbent drops the floor.  An incumbent one below a ceiling that
-        the full-point case decides runs that decision.
+        """Take a new incumbent, and the limit 2E, m and parity floor f of
+        the target value + 1 (module docstring).  At the ceiling the limit
+        is -1, so every node is pruned.  An incumbent one below the
+        ceiling runs the ceiling decision, which may lift f to 2.
         """
         self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
-        m = self.v - value - 1
+        m = self.m = self.v - value - 1
+        self.floor = (m - 1) & 1
         self.limit = (-1 if value >= self.ceiling
-                      else m * (m - 1) // 2 - 3 * (value + 1))
-        self.m_even = 0 if m & 1 else m
-        self.floor = 0
-        if value == self.decide_at:
-            self._decide(value + 1)
+                      else m * (m - 1) - 6 * (value + 1))
+        if value == self.ceiling - 1:
+            self._decide()
 
-    def _decide(self, s):
-        """The full-point case of the ceiling decision (module docstring):
-        does some set reach s, the ceiling?
+    def _decide(self):
+        """Walk the ceiling s down until its floor f leaves f*m <= 2E, and
+        leave that f in self.floor (module docstring).
 
-        Point 0 is tried first and then one point of each other orbit of
-        the automorphism group: an image of W has the image of its full
-        point as its own.  A W found becomes the incumbent, which ends the
-        search.  If there is none and W may miss fewer than m pairs, the
-        ceiling falls to s - 1 and the search ends; otherwise every point
-        of W misses at least two pairs, and the floor is lifted to m.  A
-        budget that runs out ends the search.
+        f starts at the parity of m - 1.  At f = 0 the W search runs:
+        find_subsystem when E = 0, or, once the incumbent is s - 1,
+        _full_point at point 0 and then at one point of each other root
+        orbit.  A W found becomes the incumbent, which meets the ceiling;
+        if there is none, f rises to 2.  self.decisions records each s
+        that is refuted, found or run out of budget, and each lifted f.
+        A budget that runs out ends the walk, and the tree then stops at
+        its next child.
         """
-        before = self.nodes
-        found = self._full_point(0, s)
-        if found is None and not self.truncated:
-            for w in sorted(set(_orbits(self.d)) - {0}):
-                found = self._full_point(w, s)
-                if found is not None or self.truncated:
-                    break
-        m = self.v - s
-        ends = m * (m - 1) // 2 - 3 * s < m
-        outcome = ("budget ran out" if self.truncated
-                   else "found" if found is not None
-                   else "refuted" if ends else "floor lifted")
-        self.decisions.append(("full point", s, outcome, self.nodes - before))
-        if found is not None:
-            W, inside = found
-            self._incumbent(s, [p for p in range(self.v) if p not in W],
-                            inside)
-        elif self.truncated:
-            self.limit = -1
-        elif ends:
-            self.ceiling = s - 1
-            self.limit = -1
-        else:
-            self.floor = m
+        while True:
+            s = self.ceiling
+            m = self.v - s
+            leave = m * (m - 1) - 6 * s
+            f, kind, before, W = (m - 1) & 1, "parity", self.nodes, None
+            if not f and (not leave or self.best == s - 1):
+                kind = "full point" if leave else "subsystem"
+                W = self._full_point(0, s) if leave else find_subsystem(self.d, m)
+                if W is None and leave and not self.truncated:
+                    for w in sorted(set(self._orbit(())) - {0}):
+                        W = self._full_point(w, s)
+                        if W is not None or self.truncated:
+                            break
+                f = 2
+            outcome = ("found" if W is not None
+                       else "budget ran out" if self.truncated
+                       else "refuted" if f * m > leave
+                       else "floor lifted" if f == 2 else None)
+            if outcome:
+                self.decisions.append((kind, s, outcome, self.nodes - before))
+            if outcome != "refuted":
+                break
+            # The incumbent meets the new ceiling; before the first one,
+            # the limit is set again when it arrives.
+            self.ceiling, self.limit = s - 1, -1
+        if W is None:
+            self.floor = f
+            return
+        Y = [p for p in range(self.v) if p not in W]
+        mask = self.d.all_blocks_mask()
+        for p in Y:
+            mask &= ~self.inc[p]
+        self._incumbent(s, Y, mask)
+
+    def _orbit(self, fixed):
+        """_orbits(self.d, fixed), computed once for each fixed."""
+        if fixed not in self.orbits:
+            self.orbits[fixed] = _orbits(self.d, fixed)
+        return self.orbits[fixed]
 
     def _full_point(self, w, s):
-        """(W, the mask of the blocks inside W) for a set W of v - s points
-        that holds at least s blocks, (v - s - 1)/2 of them through w; or
-        None when there is no such W.
+        """A set W of v - s points that holds at least s blocks,
+        (v - s - 1)/2 of them through w; or None when there is no such W.
 
         W is w and the other two points of the blocks through w that the
         search takes; the points of a dropped block stay out of W, and so
@@ -500,10 +487,9 @@ class _BranchAndBound:
                 # so the blocks in in2 and not in out lie inside W.
                 for u in hit[i:]:
                     out |= u
-                inside = in2 & ~out
-                if inside.bit_count() < s:
+                if (in2 & ~out).bit_count() < s:
                     return None
-                return {w}.union(*(pairs[j] for j in taken)), inside
+                return {w}.union(*(pairs[j] for j in taken))
             if len(hit) - i < need - len(taken):
                 return None
             u = hit[i]
@@ -521,9 +507,8 @@ class _BranchAndBound:
         value = min(y, t)
         if value > self.best:
             self._incumbent(value, Y, mask)
-        if (e + (o.bit_count() >> 1) + self.floor - xd.bit_count()
-                if self.floor
-                else e + (abs(self.m_even - o.bit_count()) >> 1)) > self.limit:
+        m, oc, tc = self.m, o.bit_count(), xd.bit_count()
+        if 2 * e + (oc if m & 1 else tc - oc) + self.floor * (m - tc) > self.limit:
             return
         best = self.best
         n = len(cands)
@@ -549,7 +534,7 @@ class _BranchAndBound:
             p = pts[i]
             if i and top:
                 if orbit is None:
-                    orbit = _orbits(self.d, tuple(Y))
+                    orbit = self._orbit(tuple(Y))
                     seen = {orbit[pts[0]]}
                 skip = orbit[p] in seen
                 seen.add(orbit[p])
@@ -567,7 +552,7 @@ class _BranchAndBound:
                 Y.pop()
                 if self.truncated:
                     return
-            # p is excluded from here on (see the defect bound).
+            # p is excluded from here on (see the leave-degree floor).
             xm |= 1 << p
             new = ip & x1 & dead
             if new:
@@ -575,9 +560,8 @@ class _BranchAndBound:
                 z = _xor_blocks(bm, new) & xm
                 o ^= z
                 xd |= z | 1 << p
-            if (e + (o.bit_count() >> 1) + self.floor - xd.bit_count()
-                    if self.floor
-                    else e + (abs(self.m_even - o.bit_count()) >> 1)) > self.limit:
+            m, oc, tc = self.m, o.bit_count(), xd.bit_count()
+            if 2 * e + (oc if m & 1 else tc - oc) + self.floor * (m - tc) > self.limit:
                 break
             x2 |= x1 & ip
             x1 |= ip

@@ -24,7 +24,6 @@ from nonincidence import (
 )
 from nonincidence import search
 from nonincidence.constructions import _hill_climb
-from nonincidence.design import _bits
 from nonincidence.search import _BranchAndBound, _orbits, kill_bound
 from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle, reference_greedy
 
@@ -136,9 +135,10 @@ class TestExactSearch:
             (lambda: build_sts(19, seed=1), 5_143),
             (lambda: build_sts(25, seed=1), 72_584),
             (lambda: build_sts(27, seed=1), 2_785),
+            (lambda: build_sts(31, seed=1), 93_979),
             (lambda: bose(15), 132),
         ],
-        ids=["doubling9", "sts19", "sts25", "sts27", "bose15"],
+        ids=["doubling9", "sts19", "sts25", "sts27", "sts31", "bose15"],
     )
     def test_ladder_node_counts(self, make, nodes):
         # The search is deterministic, so a change to its warm start, child
@@ -156,6 +156,9 @@ class TestExactSearch:
         # went from 64,813 tree nodes to 41,095 steps that refute a full
         # point at 14 and 31,489 nodes under the lifted floor: fewer tree
         # nodes and cheaper steps, about 0.48 s to 0.29 s on that Xeon.
+        # v=31 has even m = 12 at its ceiling 19 and 2E = 18 >= m, so no
+        # decision runs and the tree proves 18 under the parity floor 1;
+        # that floor inverted (0 at even m, 1 at odd m) reads 89,839.
         rep = exact_max_nonincident(make())
         assert rep.exact
         assert rep.nodes_visited == nodes
@@ -169,7 +172,7 @@ class TestExactSearch:
         # ceiling 20 lifts the floor (9,907 of them decision steps).
         d = bose(33)
         rep = exact_max_nonincident(d, node_budget=300_000)
-        assert rep.exact
+        assert rep.exact and rep.nodes_visited == 294_090
         assert rep.best_s == 19
         assert verify_certificate(d, rep.certificate, require_square=True)
 
@@ -427,26 +430,27 @@ class TestDefectBound:
         # The search keeps x1, x2, e, the odd-defect mask o and the defect
         # mask xd as it goes; at every node they must equal a recount from
         # Y and the excluded points xm alone, and Y, xm and the candidates
-        # split the points.  The full-point decision would end the
-        # doubling9 and sts19 searches before the tree, so it is off there
-        # and the tree runs as before it.  On the v=25 subset greedy stops
-        # at 12 and the tree reaches 13, where the decision lifts the
-        # floor, so the nodes after it read xd; no node before it may.
+        # split the points.  The ceiling decision would end the doubling9
+        # and sts19 searches before the tree, so it is off on all but the
+        # v=25 subset, and the tree runs as it does without it.  On the
+        # subset greedy stops at 12 and the tree reaches 13, where the
+        # decision lifts the floor to 2; no node before that may read a
+        # lifted floor.
         d = make()
         third = _third_points(d)
         seen, floors = [], []
 
         class Recounted(_BranchAndBound):
-            def _decide(self, s):
+            def _decide(self):
                 if decide:
-                    super()._decide(s)
+                    super()._decide()
 
             def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o, xd):
                 X = [x for x in range(d.v) if xm >> x & 1]
                 assert sorted(X + Y + list(cands)) == list(range(d.v))
                 assert (x1, x2, e, o, xd) == _recount(d, third, Y, X)
                 seen.append((o, xd))
-                floors.append(self.floor)
+                floors.append(self.floor == 2)
                 return super()._rec(cands, Y, mask, t, x1, x2, e, xm, o, xd)
 
         bb = Recounted(d, node_budget=10**6,
@@ -460,15 +464,18 @@ class TestDefectBound:
         assert len(seen) > 100 and any(o for o, _ in seen)
         assert any(o != xd for o, xd in seen)
         assert floors == sorted(floors)
-        assert set(floors) == ({0, 11} if decide else {0})
+        assert set(floors) == ({False, True} if decide else {False})
 
-    def test_set_meeting_the_count_is_kept(self):
+    def test_set_meeting_the_count_is_kept(self, monkeypatch):
         # The complement of a sub-STS(9) in an STS(21) has 12 points and 12
         # blocks.  From an incumbent of 11, m = 21 - 11 - 1 = 9 is odd and
-        # the root has no excluded point, so o = 0, h = 0 and
+        # the root has no excluded point, so o = 0, f = 0 and
         # C(9, 2) = 3*12: the count holds with equality.  The root must not
-        # be pruned, so a prune one defect too eager, or the even-m parity
-        # term h = (9 - 0)/2 in place of o/2 = 0, loses this set.
+        # be pruned, so a prune one defect too eager, or the even-m term
+        # |T| - o + f*(m - |T|) = 9 in place of o = 0, loses this set.  The
+        # ceiling decision would find the sub-STS(9) itself, so it is off
+        # and the tree has to.
+        monkeypatch.setattr(_BranchAndBound, "_decide", lambda self: None)
         d = embed_subsystem(9, 21, seed=0).design
         bb = _BranchAndBound(d, node_budget=10**6, bound=12)
         bb._incumbent(11, bb.best_Y, bb.best_mask)
@@ -619,7 +626,8 @@ class TestOrbits:
     @pytest.mark.parametrize("make,nodes,asked", [
         (lambda: build_sts(27, seed=1), 2_785, [()]),
         (lambda: doubling(build_sts(15, seed=1))[0], 36_234, [(0,), ()]),
-    ], ids=["sts27", "doubling15"])
+        (lambda: build_sts(25, seed=1), 72_584, [(), (0,)]),
+    ], ids=["sts27", "doubling15", "sts25"])
     def test_asks_for_the_root_and_the_first_child_stabiliser(
             self, make, nodes, asked, monkeypatch):
         # One orbit computation for the first child, fixing its point, and
@@ -628,7 +636,9 @@ class TestOrbits:
         # v=27 reaches 15 below the first child's first child, at node
         # 1,720, so its first child never reaches a second child: the one
         # call is the ceiling decision's, for the root orbits, after point
-        # 0 fails; that decision ends the search.
+        # 0 fails; that decision ends the search.  On v=25 the decision
+        # runs on greedy's 13 and lifts the floor, so the tree goes on; its
+        # root reuses the decision's root orbits.
         calls = []
         orbits = search._orbits
 
@@ -933,7 +943,7 @@ class TestCeilingDecision:
         assert (" floor lifted, " in caplog.text) == lifts
         assert rep.exact
         assert verify_certificate(d, rep.certificate, require_square=True)
-        monkeypatch.setattr(_BranchAndBound, "_decide", lambda self, s: None)
+        monkeypatch.setattr(_BranchAndBound, "_decide", lambda self: None)
         plain = exact_max_nonincident(d)
         assert (rep.best_s, rep.exact) == (plain.best_s, plain.exact)
 
@@ -953,14 +963,16 @@ class TestCeilingDecision:
 
     def test_a_new_incumbent_drops_the_floor(self):
         # Greedy's 13 on build_sts(25, 1) runs the decision at once, which
-        # lifts the floor to m = 11 under the limit E = 13.  The floor
-        # bounds only sets of 14 points; an incumbent of 14 meets the
-        # ceiling, and its limit of -1 stands alone.
+        # lifts the floor of each of the m = 11 points to 2 under the limit
+        # 2E = 26.  The floor bounds only sets of 14 points; an incumbent
+        # of 14 meets the ceiling, its limit of -1 stands alone, and the
+        # floor falls back to the parity floor 1 of m = 10.
         d = build_sts(25, seed=1)
         bb = _BranchAndBound(d, 10**6, 15)
-        assert (bb.best, bb.ceiling, bb.limit, bb.floor) == (13, 14, 13, 11)
+        assert (bb.best, bb.ceiling, bb.m, bb.limit, bb.floor) == (
+            13, 14, 11, 26, 2)
         bb._incumbent(14, bb.best_Y, bb.best_mask)
-        assert (bb.limit, bb.floor) == (-1, 0)
+        assert (bb.m, bb.limit, bb.floor) == (10, -1, 1)
 
     def test_refutes_24_on_sts37(self):
         # No 13 points of build_sts(37, 1) hold 24 blocks: at every point
@@ -973,18 +985,18 @@ class TestCeilingDecision:
     def test_finds_w_on_a_packed_sts37(self):
         d = _packed_witness(37, 0, relabelled=False)
         bb = _BranchAndBound(d, 10**6, 24)
-        W, inside = bb._full_point(0, 24)
-        assert W == set(range(13)) and inside.bit_count() >= 24
-        blocks = [d.blocks[i] for i in _bits(inside)]
-        assert all(set(b) <= W for b in blocks)
-        assert sum(0 in b for b in blocks) == 6
+        W = bb._full_point(0, 24)
+        assert W == set(range(13))
+        blocks = [b for b in d.blocks if set(b) <= W]
+        assert len(blocks) >= 24 and sum(0 in b for b in blocks) == 6
 
     def test_floor_keeps_a_w_without_a_full_point(self):
         # v = 45: s* = 30, m = 15 and E = 15 = m, so every point of a W
         # may miss two pairs.  Here W = 0..14 holds bose(15) less a
         # parallel class: 30 blocks, and no full point.  An incumbent of
         # 29 runs the decision, which refutes a full point and lifts the
-        # floor to 15: the ceiling stays 30.
+        # floor of each point to 2 under the limit 2E = 30: the ceiling
+        # stays 30.
         d = _packed_witness(45, 0, relabelled=False)
         inside = [i for i, b in enumerate(d.blocks) if max(b) < 15]
         cert = NonincidenceCertificate.build(d, range(15, 45), inside)
@@ -993,7 +1005,7 @@ class TestCeilingDecision:
         assert bb.best < 29
         bb._incumbent(29, bb.best_Y, bb.best_mask)
         assert bb.decisions == [("full point", 30, "floor lifted", 1_386_415)]
-        assert (bb.ceiling, bb.limit, bb.floor) == (30, 15, 15)
+        assert (bb.ceiling, bb.limit, bb.floor) == (30, 30, 2)
         # The node with X = W and Y all but point 44 must be kept.  Each
         # point of W misses exactly two pairs, so it adds exactly 2 to
         # 2e + o + 2(m - |xd|), whichever of its pairs are defects yet:
