@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 verification/validation failure or a file that
 cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
 4 certificate digest mismatch.  Usage errors include a negative --budget,
 --seed or --zmax, construct given both --sub and --double-from, an
-inadmissible order, and --sub 1 or --double-from 1, whose sub-design has no
-block to certify.
+inadmissible order, --sub 1 or --double-from 1, whose sub-design has no
+block to certify, and a search --out that names its --design file, which
+the report would overwrite.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .design import (
     NonincidenceCertificate,
     certificate_violations,
     is_subsystem,
+    validate_design,
     verify_certificate,
 )
 
@@ -88,7 +90,7 @@ def cmd_construct(args) -> int:
         wrote = True
         log.info("wrote design order %d to %s", v, args.out)
         if cert is not None:
-            cert_path = args.cert_out or _default_cert_path(args.out)
+            cert_path = _default_cert_path(args.out)
             Path(cert_path).write_text(cert.to_json())
             log.info("wrote certificate |Y|=%d |C|=%d to %s",
                      len(cert.Y), len(cert.C), cert_path)
@@ -128,14 +130,22 @@ def cmd_families(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # The same path, another spelling of it, or a link to it.  An --out
+    # with no file yet is not the design, and a missing design fails below.
+    try:
+        same = os.path.samefile(args.out, args.design)
+    except OSError:
+        same = False
+    if same:
+        print(f"error: --out names the --design file {args.design}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         d = _load_design(args.design)
     except (OSError, DesignError, ValueError) as exc:
         print(f"error: cannot read design: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    # The count rule (see design.py): b blocks cover all v(v-1)/2 pairs iff
-    # there are v(v-1)/6 of them.  An inadmissible order always misses one.
-    missing = d.v * (d.v - 1) // 2 - 3 * d.b
+    missing = validate_design(d).uncovered
     if missing:
         print(f"error: design file is not a valid STS: {missing} uncovered pairs",
               file=sys.stderr)
@@ -236,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--budget", type=_count, default=cons.DEFAULT_MOVE_BUDGET,
                    help="move budget of each hill-climb")
     c.add_argument("--out", required=True)
-    c.add_argument("--cert-out")
     c.set_defaults(func=cmd_construct)
 
     b = sub.add_parser("bound", help="print the square-nonincidence upper bound")

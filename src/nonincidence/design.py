@@ -6,16 +6,17 @@ design has exactly one canonical serialization.  Incidence is kept twice,
 as arbitrary-width integer bitmasks: one mask over blocks per point and
 one mask over points per block.
 
-Design.from_blocks, validate_design and is_subsystem answer pair
-questions from the masks by two rules.  The pair rule: points x and y lie
-on a common block iff ``point_incidence[x] & point_incidence[y]`` is
-nonzero, and since no pair lies on two blocks that block is unique.  The
-count rule: k distinct blocks hold 3k distinct pairs, so blocks inside a
-w-point set cover every pair of it exactly when there are w(w-1)/6 of
-them.  cli's cmd_search applies it to all v points: a design is an
-STS(v) exactly when 3b = v(v-1)/2.  The callers that need the third
-point of a pair, find_subsystem and _orbits in the exact search, read
-Design.third instead: a v x v table, built on first use and then kept.
+Pair questions are answered by two rules.  The pair rule: points x and
+y lie on a common block iff ``point_incidence[x] & point_incidence[y]``
+is nonzero, and since no pair lies on two blocks that block is unique;
+Design.from_blocks applies it to refuse a repeated pair.  The count rule:
+k distinct blocks hold 3k distinct pairs, so blocks inside a w-point set
+cover every pair of it exactly when there are w(w-1)/6 of them.
+validate_design applies it to all v points, so a design is an STS(v)
+exactly when 3b = v(v-1)/2, and is_subsystem to a point set.  The
+callers that need the third point of a pair, find_subsystem and _orbits
+in the exact search, read Design.third instead: a v x v table, built on
+first use and then kept.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class Design:
     constructor enforces shape (3 distinct in-range int points per block,
     bool excluded) and that no pair of points lies on two blocks, which
     also rules out a repeated block: a design is an STS or a partial one.
-    Whether every pair is covered is checked separately by
-    :func:`validate_design` so that partial designs can be inspected.
+    Whether every pair is covered is checked separately, so that partial
+    designs can be inspected: :func:`validate_design` applies the count
+    rule (module docstring) to the block count.
 
     The repeated-pair check is the pair rule applied block by block in
     canonical order: before block i sets its bits, a nonzero AND of two
@@ -162,41 +164,26 @@ def _bits(mask: int):
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Per-invariant outcome of an STS validity check.
-
-    All violations are collected rather than failing on the first one,
-    so a broken construction can be diagnosed in one pass.
-    """
+    """Outcome of an STS validity check: the pairs no block covers."""
 
     v: int
-    admissible_order: bool
-    uncovered_pairs: tuple[tuple[int, int], ...]
+    uncovered: int
 
     @property
     def ok(self) -> bool:
-        return self.admissible_order and not self.uncovered_pairs
+        return self.uncovered == 0
 
 
 def validate_design(d: Design) -> ValidityReport:
-    """Check whether d is an STS(v); reports every violated invariant.
+    """Whether d is an STS(v), by the count rule.
 
-    No pair repeats, so a point on k blocks has 2k partners: one on fewer
-    than (v-1)/2 blocks is the only kind that misses a pair, and the block
-    count and the replication number are right exactly when no pair is
-    missed.  By the pair rule, a deficient x misses y iff their masks are
-    disjoint.
+    No pair lies on two blocks, so the b blocks cover 3b of the v(v-1)/2
+    pairs and leave the rest uncovered.  An inadmissible order always
+    leaves some: either 6 does not divide v(v-1), or v is even, and then
+    the blocks through a point cover an even number of its v - 1
+    partners, so it misses one.
     """
-    v = d.v
-    inc = d.point_incidence
-    uncovered = []
-    for x, ix in enumerate(inc):
-        if 2 * ix.bit_count() < v - 1:
-            uncovered.extend((x, y) for y in range(x + 1, v) if not ix & inc[y])
-    return ValidityReport(
-        v=v,
-        admissible_order=v % 6 in (1, 3),
-        uncovered_pairs=tuple(uncovered),
-    )
+    return ValidityReport(d.v, d.v * (d.v - 1) // 2 - 3 * d.b)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,9 @@ The three cases of the paper's count are three values of f.
   the ceiling.
 A refuted s leaves the ceiling s - 1, where m is one larger: odd after
 the parity case, so the full-point case may run there, and even after the
-other two, so no case follows them.  So each case runs at most once.  Each
-step
-of the full-point search counts against the node budget, so a budget
-that runs out inside it ends the search with exact=False.
+other two, so no case follows them.  So each case runs at most once.
+Each step of the full-point search counts against the node budget, so a
+budget that runs out inside it ends the search with exact=False.
 """
 
 from __future__ import annotations
@@ -148,6 +147,7 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import islice
 
 from .bounds import nonincidence_upper_bound
@@ -367,7 +367,8 @@ class _BranchAndBound:
         self.node_budget = node_budget
         self.nodes = 0
         self.truncated = False
-        self.orbits = {}
+        # _orbits(d, fixed), computed once for each fixed.
+        self.orbit = cache(lambda fixed: _orbits(d, fixed))
         # Candidates travel as (degree << shift) | point, so sorting
         # compares plain ints.
         self.shift = d.v.bit_length()
@@ -418,7 +419,7 @@ class _BranchAndBound:
                 kind = "full point" if leave else "subsystem"
                 W = self._full_point(0, s) if leave else find_subsystem(self.d, m)
                 if W is None and leave and not self.truncated:
-                    for w in sorted(set(self._orbit(())) - {0}):
+                    for w in sorted(set(self.orbit(())) - {0}):
                         W = self._full_point(w, s)
                         if W is not None or self.truncated:
                             break
@@ -442,12 +443,6 @@ class _BranchAndBound:
         for p in Y:
             mask &= ~self.inc[p]
         self._incumbent(s, Y, mask)
-
-    def _orbit(self, fixed):
-        """_orbits(self.d, fixed), computed once for each fixed."""
-        if fixed not in self.orbits:
-            self.orbits[fixed] = _orbits(self.d, fixed)
-        return self.orbits[fixed]
 
     def _full_point(self, w, s):
         """A set W of v - s points that holds at least s blocks,
@@ -534,7 +529,7 @@ class _BranchAndBound:
             p = pts[i]
             if i and top:
                 if orbit is None:
-                    orbit = self._orbit(tuple(Y))
+                    orbit = self.orbit(tuple(Y))
                     seen = {orbit[pts[0]]}
                 skip = orbit[p] in seen
                 seen.add(orbit[p])

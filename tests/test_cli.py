@@ -136,18 +136,31 @@ class TestConstruct:
         assert capsys.readouterr().err == (
             "error: doubling STS(9) gives order 19, not 21\n")
 
-    @pytest.mark.parametrize("flags", [("--out", "missing/x.json"),
-                                       ("--sub", "7", "--out", "d.json",
-                                        "--cert-out", "missing/c.json")],
-                             ids=["design", "certificate"])
-    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, flags):
+    @pytest.mark.parametrize("flags,path", [
+        (("--out", "missing/x.json"), "missing/x.json"),
+        (("--sub", "7", "--out", "d.json"), "d.cert.json"),
+    ], ids=["design", "certificate"])
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, flags, path):
+        # A directory sits where d.json's certificate would go.
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.cert.json").mkdir()
         assert run("construct", "--order", "19", *flags) == EXIT_FAIL
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "missing/" in err
+        assert err.startswith("error:") and path in err
         assert len(err.strip().splitlines()) == 1
         # No design is left behind without its certificate.
         assert not (tmp_path / "d.json").exists()
+
+    def test_no_certificate_path_option(self, tmp_path, capsys):
+        # The certificate always goes to <stem>.cert.json, which is never
+        # --out; --cert-out naming --out kept the certificate alone.
+        out = str(tmp_path / "x.json")
+        with pytest.raises(SystemExit) as exc:
+            run("construct", "--order", "19", "--sub", "7", "--out", out,
+                "--cert-out", out)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --cert-out" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_negative_budget_is_usage_error(self, tmp_path, capsys):
         # Before, a move budget of -1 ran out at once and exited 3 with
@@ -319,6 +332,25 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "r.json" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("out", ["d.json", "./d.json", "link.json", "hard.json"],
+                             ids=["same", "dot", "symlink", "hardlink"])
+    def test_report_over_its_design_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, out):
+        # The report overwrote the design, so a later verify failed with
+        # "malformed design file: 'v'".
+        monkeypatch.chdir(tmp_path)
+        design = tmp_path / "d.json"
+        text = Design.from_blocks(7, FANO_BLOCKS).canonical_json()
+        design.write_text(text)
+        (tmp_path / "link.json").symlink_to(design)
+        (tmp_path / "hard.json").hardlink_to(design)
+        assert run("search", "--design", "d.json", "--out", out) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --out names the --design file "
+                                "d.json\n")
+        assert design.read_text() == text
 
     @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
     def test_failed_search_leaves_no_report(self, tmp_path, monkeypatch, exc):
