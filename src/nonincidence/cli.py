@@ -5,8 +5,9 @@ cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
 4 certificate digest mismatch.  Usage errors include a negative --budget,
 --seed or --zmax, construct given both --sub and --double-from, an
 inadmissible order, --sub 1 or --double-from 1, whose sub-design has no
-block to certify, and a search --out that names its --design file, which
-the report would overwrite.
+block to certify, a search --out that names its --design file, which the
+report would overwrite, and a construct certificate path <stem>.cert.json
+that names its --out file, which the certificate would overwrite.
 """
 
 from __future__ import annotations
@@ -47,12 +48,29 @@ def _default_cert_path(out: str) -> Path:
     return p.with_name(p.stem + ".cert.json")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file: the same path, another spelling
+    of it, or a link to it.  When either is missing, their resolved paths
+    are compared, so a dangling link to the other path counts too.
+    """
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _load_design(path: str) -> Design:
     return Design.from_json(Path(path).read_text())
 
 
 def cmd_construct(args) -> int:
     v = args.order
+    cert_path = _default_cert_path(args.out)
+    if ((args.double_from is not None or args.sub is not None)
+            and _same_file(cert_path, args.out)):
+        print(f"error: the certificate path {cert_path} names the --out "
+              f"file {args.out}", file=sys.stderr)
+        return EXIT_USAGE
     cert = None
     try:
         if args.double_from is not None:
@@ -90,7 +108,6 @@ def cmd_construct(args) -> int:
         wrote = True
         log.info("wrote design order %d to %s", v, args.out)
         if cert is not None:
-            cert_path = _default_cert_path(args.out)
             Path(cert_path).write_text(cert.to_json())
             log.info("wrote certificate |Y|=%d |C|=%d to %s",
                      len(cert.Y), len(cert.C), cert_path)
@@ -130,13 +147,7 @@ def cmd_families(args) -> int:
 
 
 def cmd_search(args) -> int:
-    # The same path, another spelling of it, or a link to it.  An --out
-    # with no file yet is not the design, and a missing design fails below.
-    try:
-        same = os.path.samefile(args.out, args.design)
-    except OSError:
-        same = False
-    if same:
+    if _same_file(args.out, args.design):
         print(f"error: --out names the --design file {args.design}",
               file=sys.stderr)
         return EXIT_USAGE

@@ -269,12 +269,7 @@ def subsystem_complement_certificate(e: EmbeddedDesign):
     if not e.sub_blocks:
         raise ValueError(
             f"a sub-STS({len(e.sub_points)}) has no block to certify")
-    d = e.design
     sub = set(e.sub_points)
-    outside = [p for p in range(d.v) if p not in sub]
-    c = list(e.sub_blocks)
-    if len(c) > len(outside):
-        c = c[: len(outside)]
-    meta = dict(e.meta)
-    meta.setdefault("construction", "embed_subsystem")
-    return NonincidenceCertificate.build(d, outside, c, meta=meta)
+    outside = [p for p in range(e.design.v) if p not in sub]
+    return NonincidenceCertificate.build(
+        e.design, outside, e.sub_blocks[:len(outside)], meta=e.meta)

@@ -214,9 +214,12 @@ def _orbits(d: Design, fixed=()) -> list[int]:
 
     Points are first split by an invariant: the blocks and the Pasch
     configurations through each point, with each point of fixed in a class
-    of its own.  Then each point b is tested against each earlier orbit's
-    least point r of its class by _automorphism; a map found merges every
-    point with its image.  Without the cap these are exactly the orbits;
+    of its own.  The orbits found so far are one list, orbit, with orbit[p]
+    the least point of p's orbit.  Each point b that is still the least of
+    its orbit is tested by _automorphism against each earlier such point r
+    of its class.  A map g found merges each p with g[p]: of orbit[p] and
+    orbit[g[p]], the larger is relabelled as the smaller everywhere in the
+    list, which is returned.  Without the cap these are exactly the orbits;
     with it, an orbit may stay split, never joined to another.  The
     classes are not refined further: fixing a point sets only that point
     apart, so the other orbits of a stabiliser are told apart only by
@@ -235,84 +238,70 @@ def _orbits(d: Design, fixed=()) -> list[int]:
            for pairs in blocks_at]
     for i, f in enumerate(fixed):
         cls[f] = -1 - i
-    rep = list(range(v))
-
-    def root(p):
-        while rep[p] != p:
-            p = rep[p]
-        return p
-
+    orbit = list(range(v))
     steps = [_ORBIT_STEPS]
     for b in range(v):
-        if root(b) != b:
+        if orbit[b] != b:
             continue
         for r in range(b):
-            if rep[r] == r and cls[r] == cls[b]:
+            if orbit[r] == r and cls[r] == cls[b]:
                 g = _automorphism(third, cls, r, b, steps)
                 if g is not None:
                     for p, q in enumerate(g):
-                        x, y = sorted((root(p), root(q)))
-                        rep[y] = x
+                        lo, hi = sorted((orbit[p], orbit[q]))
+                        if lo != hi:
+                            orbit = [lo if o == hi else o for o in orbit]
                     break
-    return [root(p) for p in range(v)]
-
-
-def _extend(third, cls, state, x, y):
-    """Copy of the partial map state = (img, inv, order) with x -> y added
-    and closed under third points; None on a contradiction.  The callers
-    pass an unmapped x and an unused y of the same class.
-
-    order lists the mapped points; every pair of them has been checked:
-    the image of third[a][u] is third[img a][img u], and -1 maps to -1.
-    Images keep classes, so a map that reaches all points is an
-    automorphism, and it fixes each point that is alone in its class.
-    """
-    img, inv, order = state[0][:], state[1][:], state[2] + [x]
-    img[x], inv[y] = y, x
-    i = len(state[2])
-    while i < len(order):
-        a = order[i]
-        row, image = third[a], third[img[a]]
-        for u in order[:i]:
-            w, z = row[u], image[img[u]]
-            if w < 0 or z < 0:
-                if w != z:
-                    return None
-            elif img[w] != z:
-                if img[w] != -1 or inv[z] != -1 or cls[w] != cls[z]:
-                    return None
-                img[w], inv[z] = z, w
-                order.append(w)
-        i += 1
-    return img, inv, order
+    return orbit
 
 
 def _automorphism(third, cls, a, b, steps):
     """An automorphism of the design with third-point table third that
-    keeps the classes cls and sends a to b, or None.  The search starts
-    from the empty map.  Each tried image costs one of steps[0]; at 0 it
-    gives up with None.
+    keeps the classes cls and sends a to b, or None.  Each tried image
+    costs one of steps[0]; at 0 it gives up with None.
+
+    The search starts from the empty map.  branch copies the partial map
+    img (with its inverse inv and order, the mapped points in the order
+    they were mapped), adds x -> y for an unmapped x and an unused y of
+    the same class, and closes the map under third points: for every pair
+    of mapped points, the image of third[p][u] is third[img p][img u],
+    and -1 maps to -1.  A contradiction gives None.  Images keep classes,
+    so a map that reaches all points is an automorphism, and it fixes
+    each point that is alone in its class.
     """
-    def branch(state, x, y):
+    def branch(img, inv, order, x, y):
         if steps[0] == 0:
             return None
         steps[0] -= 1
-        state = _extend(third, cls, state, x, y)
-        if state is None:
-            return None
-        img, inv, _ = state
+        img, inv, order = img[:], inv[:], order + [x]
+        img[x], inv[y] = y, x
+        i = len(order) - 1
+        while i < len(order):
+            p = order[i]
+            row, image = third[p], third[img[p]]
+            for u in order[:i]:
+                w, z = row[u], image[img[u]]
+                if w < 0 or z < 0:
+                    if w != z:
+                        return None
+                elif img[w] != z:
+                    if img[w] != -1 or inv[z] != -1 or cls[w] != cls[z]:
+                        return None
+                    img[w], inv[z] = z, w
+                    order.append(w)
+            i += 1
         if -1 not in img:
             return img
         x = img.index(-1)
         for y, z in enumerate(inv):
             if z == -1 and cls[y] == cls[x]:
-                found = branch(state, x, y)
+                found = branch(img, inv, order, x, y)
                 if found is not None or steps[0] == 0:
                     return found
         return None
 
     v = len(third)
-    return branch(([-1] * v, [-1] * v, []), a, b)
+    return branch([-1] * v, [-1] * v, [], a, b)
 
 
 def _greedy(d: Design) -> tuple[list[int], int]:
@@ -518,7 +507,6 @@ class _BranchAndBound:
         # The root and its first child, the one node with |Y| = 1 and no
         # excluded point, skip children symmetric to an earlier sibling.
         top = y < 2 and not xm
-        orbit = None
         skip = False
         for i, k in enumerate(keys):
             if y + n - i <= self.best:
@@ -528,11 +516,8 @@ class _BranchAndBound:
                 break
             p = pts[i]
             if i and top:
-                if orbit is None:
-                    orbit = self.orbit(tuple(Y))
-                    seen = {orbit[pts[0]]}
-                skip = orbit[p] in seen
-                seen.add(orbit[p])
+                orbit = self.orbit(tuple(Y))
+                skip = orbit[p] in {orbit[q] for q in pts[:i]}
             ip = inc[p]
             if not skip:
                 if self.nodes == self.node_budget:

@@ -162,6 +162,36 @@ class TestConstruct:
         assert "unrecognized arguments: --cert-out" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,links", [
+        (("--order", "19", "--double-from", "9"),
+         {"x.json": "d.json", "x.cert.json": "x.json"}),
+        (("--order", "21", "--sub", "9", "--seed", "1"),
+         {"x.cert.json": "x.json"}),
+        (("--order", "21", "--sub", "9", "--seed", "1"),
+         {"x.json": None, "x.cert.json": None}),
+    ], ids=["symlink_chain", "dangling_symlink", "hardlink"])
+    def test_certificate_over_its_design_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, flags, links):
+        # x.cert.json names --out x.json, so the certificate overwrote the
+        # design it came with (d.json through the chain) and construct
+        # still exited 0.  None marks a hard link to d.json.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.json").write_text("old")
+        for name, target in links.items():
+            if target is None:
+                (tmp_path / name).hardlink_to(tmp_path / "d.json")
+            else:
+                (tmp_path / name).symlink_to(target)
+        before = {p.name: p.is_file() and p.read_text()
+                  for p in tmp_path.iterdir()}
+        assert run("construct", *flags, "--out", "x.json") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the certificate path x.cert.json "
+                                "names the --out file x.json\n")
+        assert {p.name: p.is_file() and p.read_text()
+                for p in tmp_path.iterdir()} == before
+
     def test_negative_budget_is_usage_error(self, tmp_path, capsys):
         # Before, a move budget of -1 ran out at once and exited 3 with
         # "retry with another seed".

@@ -509,6 +509,74 @@ def _permuted(d, seed):
     return relabel(d, seed), perm
 
 
+# Each pinned _orbits call: the design, the fixed points, the steps its map
+# searches spend (_ORBIT_STEPS less the steps left), every map question
+# (a, b) in the order asked, and every map found, in order.
+MAP_SEARCH_PINS = {
+    "sts27_stab": (lambda: build_sts(27, seed=1), (0,), 421, [
+        (1, 2), (1, 3), (1, 9), (3, 9), (1, 10), (1, 12), (3, 12), (9, 12),
+        (1, 18), (3, 18), (9, 18), (12, 18), (1, 21), (3, 21), (9, 21),
+        (12, 21), (18, 21)], [
+        [0, 2, 4, 6, 8, 1, 3, 5, 7, 9, 11, 13, 15, 17, 10, 12, 14, 16, 18, 20,
+         22, 24, 26, 19, 21, 23, 25],
+        [0, 10, 26, 3, 13, 20, 6, 16, 23, 9, 19, 8, 12, 22, 2, 15, 25, 5, 18,
+         1, 17, 21, 4, 11, 24, 7, 14],
+    ]),
+    "doubling15": (lambda: doubling(build_sts(15, seed=1))[0], (), 2251, [
+        (0, 1), (0, 3), (1, 3), (0, 4), (1, 4), (3, 4), (0, 5), (0, 15),
+        (1, 15), (3, 15), (4, 15), (0, 16), (1, 16), (3, 16), (4, 16),
+        (15, 16), (2, 17), (2, 18), (17, 18)], [
+        [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 20, 21, 22, 23, 24,
+         25, 26, 27, 28, 29, 15, 16, 17, 18, 19, 30],
+    ]),
+    "doubling15_stab": (
+        lambda: doubling(build_sts(15, seed=1))[0], (0,), 1382, [
+        (1, 3), (1, 4), (3, 4), (1, 5), (3, 5), (4, 5), (1, 6), (3, 6), (4, 6),
+        (5, 6), (2, 7), (1, 8), (3, 8), (4, 8), (5, 8), (6, 8), (1, 9), (3, 9),
+        (4, 9), (5, 9), (6, 9), (8, 9), (1, 10), (3, 10), (4, 10), (5, 10),
+        (6, 10), (8, 10), (9, 10), (1, 11), (3, 11), (4, 11), (5, 11), (6, 11),
+        (8, 11), (9, 11), (10, 11), (2, 12), (7, 12), (1, 13), (3, 13),
+        (4, 13), (5, 13), (6, 13), (8, 13), (9, 13), (10, 13), (11, 13),
+        (1, 14), (3, 14), (4, 14), (5, 14), (6, 14), (8, 14), (9, 14),
+        (10, 14), (11, 14), (13, 14), (1, 15), (3, 15), (4, 15), (5, 15),
+        (6, 15), (8, 15), (9, 15), (10, 15), (11, 15), (13, 15), (14, 15),
+        (1, 16), (3, 16), (4, 16), (5, 16), (6, 16), (8, 16), (9, 16),
+        (10, 16), (11, 16), (13, 16), (14, 16), (15, 16), (2, 17), (7, 17),
+        (12, 17), (2, 18), (7, 18), (12, 18), (17, 18), (1, 20), (3, 20),
+        (4, 20), (5, 20), (6, 20), (8, 20), (9, 20), (10, 20), (11, 20),
+        (13, 20), (14, 20), (15, 20), (16, 20), (1, 21), (3, 21), (4, 21),
+        (5, 21), (6, 21), (8, 21), (9, 21), (10, 21), (11, 21), (13, 21),
+        (14, 21), (15, 21), (16, 21), (20, 21), (2, 22), (7, 22), (12, 22),
+        (17, 22), (18, 22), (2, 23), (7, 23), (12, 23), (17, 23), (18, 23),
+        (22, 23), (19, 24), (1, 25), (3, 25), (4, 25), (5, 25), (6, 25),
+        (8, 25), (9, 25), (10, 25), (11, 25), (13, 25), (14, 25), (15, 25),
+        (16, 25), (20, 25), (21, 25), (1, 26), (3, 26), (4, 26), (5, 26),
+        (6, 26), (8, 26), (9, 26), (10, 26), (11, 26), (13, 26), (14, 26),
+        (15, 26), (16, 26), (20, 26), (21, 26), (25, 26), (2, 27), (7, 27),
+        (12, 27), (17, 27), (18, 27), (22, 27), (23, 27), (2, 28), (7, 28),
+        (12, 28), (17, 28), (18, 28), (22, 28), (23, 28), (27, 28), (19, 29),
+        (24, 29)], [
+    ]),
+    "bose21": (lambda: bose(21), (), 156, [
+        (0, 1), (0, 2), (0, 7)], [
+        [1, 0, 6, 5, 4, 3, 2, 8, 7, 13, 12, 11, 10, 9, 15, 14, 20, 19, 18, 17,
+         16],
+        [2, 0, 5, 3, 1, 6, 4, 9, 7, 12, 10, 8, 13, 11, 16, 14, 19, 17, 15, 20,
+         18],
+        [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0, 1, 2, 3, 4, 5,
+         6],
+    ]),
+    "bose21_stab": (lambda: bose(21), (0,), 212, [
+        (1, 2), (1, 3), (1, 7), (1, 8), (7, 8), (1, 14), (7, 14), (8, 14),
+        (1, 15), (7, 15), (8, 15), (14, 15)], [
+        [0, 2, 4, 6, 1, 3, 5, 7, 9, 11, 13, 8, 10, 12, 14, 16, 18, 20, 15, 17,
+         19],
+        [0, 3, 6, 2, 5, 1, 4, 7, 10, 13, 9, 12, 8, 11, 14, 17, 20, 16, 19, 15,
+         18],
+    ]),
+}
+
+
 class TestOrbits:
     @pytest.mark.parametrize("make,stabiliser", [
         (lambda: Design.from_blocks(7, FANO_BLOCKS), 2),
@@ -609,6 +677,29 @@ class TestOrbits:
                 lo, hi = sorted((rep[p], rep[q]))
                 rep = [lo if r == hi else r for r in rep]
         assert orbit == rep
+
+    @pytest.mark.parametrize("name", list(MAP_SEARCH_PINS))
+    def test_map_search_is_pinned(self, name, monkeypatch):
+        # The same questions, maps and steps, from groups that merge every
+        # point (bose21: 3 questions, each a map) to a stabiliser with no
+        # map at all (doubling15_stab: 175 questions, each refuted).
+        make, fixed, steps, questions, maps = MAP_SEARCH_PINS[name]
+        asked, found, left = [], [], []
+        automorphism = search._automorphism
+
+        def record(*args):
+            asked.append(args[-3:-1])
+            left[:] = [args[-1]]
+            g = automorphism(*args)
+            if g is not None:
+                found.append(g)
+            return g
+
+        monkeypatch.setattr(search, "_automorphism", record)
+        _orbits(make(), fixed)
+        assert asked == questions
+        assert found == maps
+        assert search._ORBIT_STEPS - left[0][0] == steps
 
     def test_no_steps_leaves_every_point_alone(self, monkeypatch):
         # Out of steps, no map is found and no child is skipped: the search
