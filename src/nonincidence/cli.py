@@ -44,8 +44,10 @@ log = logging.getLogger("nonincidence")
 
 
 def _default_cert_path(out: str) -> Path:
+    # Not with_name, which raises on an --out with no name, such as "" or
+    # "/"; such an --out fails as a file that cannot be written.
     p = Path(out)
-    return p.with_name(p.stem + ".cert.json")
+    return p.parent / (p.stem + ".cert.json")
 
 
 def _same_file(a: str, b: str) -> bool:

@@ -139,9 +139,13 @@ class TestConstruct:
     @pytest.mark.parametrize("flags,path", [
         (("--out", "missing/x.json"), "missing/x.json"),
         (("--sub", "7", "--out", "d.json"), "d.cert.json"),
-    ], ids=["design", "certificate"])
+        (("--sub", "7", "--out", ""), "Is a directory"),
+        (("--double-from", "9", "--out", "/"), "Is a directory"),
+    ], ids=["design", "certificate", "empty", "root"])
     def test_unwritable_output(self, tmp_path, monkeypatch, capsys, flags, path):
-        # A directory sits where d.json's certificate would go.
+        # A directory sits where d.json's certificate would go.  An --out
+        # with no file name has no certificate path either; it fails as a
+        # design that cannot be written, not with a traceback.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d.cert.json").mkdir()
         assert run("construct", "--order", "19", *flags) == EXIT_FAIL
