@@ -304,8 +304,8 @@ def _automorphism(third, cls, a, b, steps):
     return branch([-1] * v, [-1] * v, [], a, b)
 
 
-def _greedy(d: Design) -> tuple[list[int], int]:
-    """Greedy's point set Y and the mask of the blocks avoiding it.
+def _greedy(d: Design) -> list[int]:
+    """Greedy's point set Y.
 
     Y takes the point of lowest live degree, ties to the lower index, and
     stops before the first step that would leave t at or below the
@@ -327,12 +327,18 @@ def _greedy(d: Design) -> tuple[list[int], int]:
         Y.append(p)
         rest.remove(p)
         mask = left
-    return Y, mask
+    return Y
 
 
-def _report(d: Design, method: str, start: float, bound: int, best: int,
-            Y, mask: int, exact: bool, nodes: int) -> SearchReport:
-    """The report of a search whose best set Y leaves the blocks in mask."""
+def _report(d: Design, method: str, start: float, best: int, Y,
+            exact: bool, nodes: int) -> SearchReport:
+    """The report of a search whose best set Y reaches best.  Its
+    certificate takes best points of Y and the first best blocks that Y
+    misses; bound_used is the paper's bound at d.v.
+    """
+    mask = d.all_blocks_mask()
+    for p in Y:
+        mask &= ~d.point_incidence[p]
     blocks = list(islice(_bits(mask), best))
     cert = NonincidenceCertificate.build(
         d, sorted(Y)[:best], blocks, meta={"method": method, "exact": exact})
@@ -342,13 +348,18 @@ def _report(d: Design, method: str, start: float, bound: int, best: int,
         exact=exact,
         nodes_visited=nodes,
         elapsed_seconds=time.perf_counter() - start,
-        bound_used=bound,
+        bound_used=nonincidence_upper_bound(d.v),
         method=method,
     )
 
 
 class _BranchAndBound:
-    def __init__(self, d: Design, node_budget: int, bound: int):
+    """The exact search over d within node_budget.  Its ceiling starts at
+    the paper's bound, kept as self.bound; the incumbent is best and its
+    point set best_Y.
+    """
+
+    def __init__(self, d: Design, node_budget: int):
         self.d = d
         self.v = d.v
         self.inc = d.point_incidence
@@ -362,23 +373,24 @@ class _BranchAndBound:
         # compares plain ints.
         self.shift = d.v.bit_length()
         self.low = (1 << self.shift) - 1
-        self.ceiling = bound
+        self.ceiling = self.bound = nonincidence_upper_bound(d.v)
         self.decisions = []
         # No incumbent yet, so the decision runs only the cases that need
         # none; a sub-STS found becomes the incumbent.
         self.best = None
         self._decide()
         if self.best is None:
-            Y, mask = _greedy(d)
-            self._incumbent(min(len(Y), mask.bit_count()), Y, mask)
+            Y = _greedy(d)
+            self._incumbent(len(Y), Y)
 
-    def _incumbent(self, value, Y, mask):
-        """Take a new incumbent, and the limit 2E, m and parity floor f of
-        the target value + 1 (module docstring).  At the ceiling the limit
+    def _incumbent(self, value, Y):
+        """Take the point set Y as the new incumbent of the given value,
+        and the limit 2E, m and parity floor f of the target value + 1
+        (module docstring).  At the ceiling the limit
         is -1, so every node is pruned.  An incumbent one below the
         ceiling runs the ceiling decision, which may lift f to 2.
         """
-        self.best, self.best_Y, self.best_mask = value, tuple(Y), mask
+        self.best, self.best_Y = value, tuple(Y)
         m = self.m = self.v - value - 1
         self.floor = (m - 1) & 1
         self.limit = (-1 if value >= self.ceiling
@@ -427,11 +439,7 @@ class _BranchAndBound:
         if W is None:
             self.floor = f
             return
-        Y = [p for p in range(self.v) if p not in W]
-        mask = self.d.all_blocks_mask()
-        for p in Y:
-            mask &= ~self.inc[p]
-        self._incumbent(s, Y, mask)
+        self._incumbent(s, [p for p in range(self.v) if p not in W])
 
     def _full_point(self, w, s):
         """A set W of v - s points that holds at least s blocks,
@@ -490,7 +498,7 @@ class _BranchAndBound:
         y = len(Y)
         value = min(y, t)
         if value > self.best:
-            self._incumbent(value, Y, mask)
+            self._incumbent(value, Y)
         m, oc, tc = self.m, o.bit_count(), xd.bit_count()
         if 2 * e + (oc if m & 1 else tc - oc) + self.floor * (m - tc) > self.limit:
             return
@@ -557,19 +565,18 @@ def exact_max_nonincident(
     so the search ends early with a proved maximum.
     """
     start = time.perf_counter()
-    bound = nonincidence_upper_bound(d.v)
-    bb = _BranchAndBound(d, node_budget, bound)
+    bb = _BranchAndBound(d, node_budget)
     full = d.all_blocks_mask()
     bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0, 0)
     for decision in bb.decisions:
         log.info("ceiling decision (%s case): s*=%d %s, %d steps of the "
                  "node budget", *decision)
-    if bb.best > bound:
+    if bb.best > bb.bound:
         raise AssertionError(
-            f"search found s={bb.best} above the theoretical ceiling {bound}"
+            f"search found s={bb.best} above the theoretical ceiling {bb.bound}"
         )
-    return _report(d, "exact", start, bound, bb.best, bb.best_Y,
-                   bb.best_mask, not bb.truncated, bb.nodes)
+    return _report(d, "exact", start, bb.best, bb.best_Y, not bb.truncated,
+                   bb.nodes)
 
 
 def greedy_max_nonincident(d: Design) -> SearchReport:
@@ -580,9 +587,8 @@ def greedy_max_nonincident(d: Design) -> SearchReport:
     took, equals best_s.
     """
     start = time.perf_counter()
-    bound = nonincidence_upper_bound(d.v)
-    Y, mask = _greedy(d)
-    return _report(d, "greedy", start, bound, len(Y), Y, mask, False, len(Y))
+    Y = _greedy(d)
+    return _report(d, "greedy", start, len(Y), Y, False, len(Y))
 
 
 def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:

@@ -453,8 +453,7 @@ class TestDefectBound:
                 floors.append(self.floor == 2)
                 return super()._rec(cands, Y, mask, t, x1, x2, e, xm, o, xd)
 
-        bb = Recounted(d, node_budget=10**6,
-                       bound=nonincidence_upper_bound(d.v))
+        bb = Recounted(d, node_budget=10**6)
         assert bb.best < bb.ceiling
         full = d.all_blocks_mask()
         bb._rec(list(range(d.v)), [], full, full.bit_count(),
@@ -477,8 +476,8 @@ class TestDefectBound:
         # and the tree has to.
         monkeypatch.setattr(_BranchAndBound, "_decide", lambda self: None)
         d = embed_subsystem(9, 21, seed=0).design
-        bb = _BranchAndBound(d, node_budget=10**6, bound=12)
-        bb._incumbent(11, bb.best_Y, bb.best_mask)
+        bb = _BranchAndBound(d, node_budget=10**6)
+        bb._incumbent(11, bb.best_Y)
         assert bb.limit == 0
         full = d.all_blocks_mask()
         bb._rec(list(range(d.v)), [], full, full.bit_count(),
@@ -948,7 +947,7 @@ class TestCeilingDecision:
             if v % 6 not in (1, 3):
                 continue
             bound = nonincidence_upper_bound(v)
-            bb = _BranchAndBound(Design.from_blocks(v, []), 0, bound)
+            bb = _BranchAndBound(Design.from_blocks(v, []), 0)
             if any(kind == "parity" for kind, *_ in bb.decisions):
                 assert bb.ceiling == bound - 1
                 lowered.append(v)
@@ -982,9 +981,9 @@ class TestCeilingDecision:
         taken = []
         incumbent = _BranchAndBound._incumbent
 
-        def record(self, value, Y, mask):
+        def record(self, value, Y):
             taken.append((value, self.nodes))
-            incumbent(self, value, Y, mask)
+            incumbent(self, value, Y)
 
         monkeypatch.setattr(_BranchAndBound, "_incumbent", record)
         d = build_sts(25, seed=0)
@@ -1043,7 +1042,7 @@ class TestCeilingDecision:
         assert len(AGREEMENT_DESIGNS) >= 50
         outcomes = Counter()
         for _, d in AGREEMENT_DESIGNS:
-            bb = _BranchAndBound(d, 10**6, nonincidence_upper_bound(d.v))
+            bb = _BranchAndBound(d, 10**6)
             full = d.all_blocks_mask()
             bb._rec(list(range(d.v)), [], full, full.bit_count(),
                     0, 0, 0, 0, 0, 0)
@@ -1059,23 +1058,23 @@ class TestCeilingDecision:
         # of 14 meets the ceiling, its limit of -1 stands alone, and the
         # floor falls back to the parity floor 1 of m = 10.
         d = build_sts(25, seed=1)
-        bb = _BranchAndBound(d, 10**6, 15)
+        bb = _BranchAndBound(d, 10**6)
         assert (bb.best, bb.ceiling, bb.m, bb.limit, bb.floor) == (
             13, 14, 11, 26, 2)
-        bb._incumbent(14, bb.best_Y, bb.best_mask)
+        bb._incumbent(14, bb.best_Y)
         assert (bb.m, bb.limit, bb.floor) == (10, -1, 1)
 
     def test_refutes_24_on_sts37(self):
         # No 13 points of build_sts(37, 1) hold 24 blocks: at every point
         # the search over its 18 blocks fails, without running out.
         d = build_sts(37, seed=1)
-        bb = _BranchAndBound(d, 10**6, 24)
+        bb = _BranchAndBound(d, 10**6)
         assert all(bb._full_point(w, 24) is None for w in range(37))
         assert not bb.truncated and bb.nodes > 0
 
     def test_finds_w_on_a_packed_sts37(self):
         d = _packed_witness(37, 0, relabelled=False)
-        bb = _BranchAndBound(d, 10**6, 24)
+        bb = _BranchAndBound(d, 10**6)
         W = bb._full_point(0, 24)
         assert W == set(range(13))
         blocks = [b for b in d.blocks if set(b) <= W]
@@ -1092,9 +1091,9 @@ class TestCeilingDecision:
         inside = [i for i, b in enumerate(d.blocks) if max(b) < 15]
         cert = NonincidenceCertificate.build(d, range(15, 45), inside)
         assert verify_certificate(d, cert, require_square=True)
-        bb = _BranchAndBound(d, 2 * 10**6, 30)
+        bb = _BranchAndBound(d, 2 * 10**6)
         assert bb.best < 29
-        bb._incumbent(29, bb.best_Y, bb.best_mask)
+        bb._incumbent(29, bb.best_Y)
         assert bb.decisions == [("full point", 30, "floor lifted", 1_386_415)]
         assert (bb.ceiling, bb.limit, bb.floor) == (30, 30, 2)
         # The node with X = W and Y all but point 44 must be kept.  Each
