@@ -61,6 +61,19 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _remove_unfinished(path: str) -> None:
+    """Remove an output left unfinished at path, if it is a regular file:
+    an --out such as /dev/null or a FIFO is left alone.  An OSError from
+    the removal is swallowed, so the caller's own error or exception
+    stands.
+    """
+    try:
+        if Path(path).is_file():
+            Path(path).unlink()
+    except OSError:
+        pass
+
+
 def _load_design(path: str) -> Design:
     return Design.from_json(Path(path).read_text())
 
@@ -116,7 +129,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         # A design without the certificate it was built with is not kept.
         if wrote:
-            Path(args.out).unlink(missing_ok=True)
+            _remove_unfinished(args.out)
         print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
@@ -180,10 +193,9 @@ def cmd_search(args) -> int:
         return EXIT_FAIL
     finally:
         # A report that was opened but not finished, because the search
-        # raised or was interrupted or the write failed, is removed; an
-        # --out that is no regular file, such as /dev/null, is left alone.
-        if out is not None and Path(args.out).is_file():
-            Path(args.out).unlink(missing_ok=True)
+        # raised or was interrupted or the write failed, is removed.
+        if out is not None:
+            _remove_unfinished(args.out)
     print(f"best_s={rep.best_s} exact={rep.exact} bound={rep.bound_used} "
           f"nodes={rep.nodes_visited}")
     if not args.greedy and not rep.exact:

@@ -117,8 +117,16 @@ def _hill_climb(
     draws j below n again until j != i.  So the calls on ``rng``, and
     therefore the blocks, are those of the row scan with those two
     methods, while the designs depend only on the generator's bit stream.
+
+    A move adds at most one block, so a climb that needs more than
+    move_budget new blocks cannot finish: it raises at once, before it
+    draws or allocates its v x v tables.
     """
     target = v * (v - 1) // 6
+    out_of_moves = BudgetExhausted(
+        f"no STS({v}) completion within {move_budget} moves")
+    if target - len(fixed_blocks) > move_budget:
+        raise out_of_moves
     cover: list[list[tuple[int, int, int] | None]] = [[None] * v for _ in range(v)]
     points = list(range(v))
     unc = [points[:x] + points[x + 1:] for x in points]
@@ -162,9 +170,7 @@ def _hill_climb(
     while len(blocks) < target:
         moves += 1
         if moves > move_budget:
-            raise BudgetExhausted(
-                f"no STS({v}) completion within {move_budget} moves"
-            )
+            raise out_of_moves
         x = getrandbits(kv)
         while x >= v:
             x = getrandbits(kv)

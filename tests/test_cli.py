@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -96,6 +97,21 @@ class TestConstruct:
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
             assert not any(tmp_path.iterdir())
 
+    def test_budget_that_cannot_finish_is_refused_at_once(self, tmp_path,
+                                                          capsys):
+        # A move adds at most one block, and this order needs about 1.7e59
+        # of them.  The climb allocated its v x v tables first and died
+        # with OverflowError.
+        start = time.perf_counter()
+        rc = run("construct", "--order", str(10**30 + 3),
+                 "--out", str(tmp_path / "x.json"))
+        assert time.perf_counter() - start < 1
+        assert rc == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err == (f"error: no STS({10**30 + 3}) completion within "
+                       "10000000 moves (retry with another seed)\n")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flags", [("--order", "25"),
                                        ("--order", "27", "--double-from", "13"),
                                        ("--order", "21", "--sub", "9")],
@@ -154,6 +170,35 @@ class TestConstruct:
         assert len(err.strip().splitlines()) == 1
         # No design is left behind without its certificate.
         assert not (tmp_path / "d.json").exists()
+
+    def test_failed_certificate_leaves_an_out_that_is_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        # The design went through the link to /dev/null, the certificate
+        # could not be written, and the cleanup removed the link.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.json").symlink_to("/dev/null")
+        (tmp_path / "x.cert.json").mkdir()
+        assert run("construct", "--order", "21", "--sub", "9", "--seed", "1",
+                   "--out", "x.json") == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert (tmp_path / "x.json").is_symlink()
+
+    def test_failed_cleanup_keeps_the_error(self, tmp_path, monkeypatch,
+                                            capsys):
+        # A design that cannot be removed, as /proc/self/fd/1 cannot, made
+        # the cleanup raise PermissionError past the error line.
+        def refuse(self, missing_ok=False):
+            raise PermissionError(1, "Operation not permitted", str(self))
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.cert.json").mkdir()
+        monkeypatch.setattr(cli.Path, "unlink", refuse)
+        assert run("construct", "--order", "21", "--sub", "9", "--seed", "1",
+                   "--out", "x.json") == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_no_certificate_path_option(self, tmp_path, capsys):
         # The certificate always goes to <stem>.cert.json, which is never
@@ -400,6 +445,22 @@ class TestSearch:
             run("search", "--design", str(design),
                 "--out", str(tmp_path / "r.json"))
         assert not (tmp_path / "r.json").exists()
+
+    def test_failed_cleanup_keeps_the_interrupt(self, tmp_path, monkeypatch):
+        # The cleanup's PermissionError replaced the KeyboardInterrupt.
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError(1, "Operation not permitted", str(self))
+
+        monkeypatch.setattr(cli.srch, "exact_max_nonincident", interrupted)
+        monkeypatch.setattr(cli.Path, "unlink", refuse)
+        design = tmp_path / "f.json"
+        design.write_text(Design.from_blocks(7, FANO_BLOCKS).canonical_json())
+        with pytest.raises(KeyboardInterrupt):
+            run("search", "--design", str(design),
+                "--out", str(tmp_path / "r.json"))
 
 
 class TestVerify:
