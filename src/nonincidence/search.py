@@ -380,15 +380,16 @@ class _BranchAndBound:
         self.best = None
         self._decide()
         if self.best is None:
+            # Greedy leaves t at least |Y|, so its value is |Y|.
             Y = _greedy(d)
             self._incumbent(len(Y), Y)
 
     def _incumbent(self, value, Y):
         """Take the point set Y as the new incumbent of the given value,
         and the limit 2E, m and parity floor f of the target value + 1
-        (module docstring).  At the ceiling the limit
-        is -1, so every node is pruned.  An incumbent one below the
-        ceiling runs the ceiling decision, which may lift f to 2.
+        (module docstring).  At the ceiling the limit is -1, so every
+        node is pruned.  An incumbent one below the ceiling runs the
+        ceiling decision, which may lift f to 2.
         """
         self.best, self.best_Y = value, tuple(Y)
         m = self.m = self.v - value - 1
@@ -406,8 +407,9 @@ class _BranchAndBound:
         find_subsystem when E = 0, or, once the incumbent is s - 1,
         _full_point at point 0 and then at one point of each other root
         orbit.  A W found becomes the incumbent, which meets the ceiling;
-        if there is none, f rises to 2.  self.decisions records each s
-        that is refuted, found or run out of budget, and each lifted f.
+        if there is none, f rises to 2.  self.decisions records, and the
+        log tells as it is made, each s that is refuted, found or run out
+        of budget, and each lifted f.
         A budget that runs out ends the walk, and the tree then stops at
         its next child.
         """
@@ -431,6 +433,8 @@ class _BranchAndBound:
                        else "floor lifted" if f == 2 else None)
             if outcome:
                 self.decisions.append((kind, s, outcome, self.nodes - before))
+                log.info("ceiling decision (%s case): s*=%d %s, %d steps of "
+                         "the node budget", *self.decisions[-1])
             if outcome != "refuted":
                 break
             # The incumbent meets the new ceiling; before the first one,
@@ -568,9 +572,6 @@ def exact_max_nonincident(
     bb = _BranchAndBound(d, node_budget)
     full = d.all_blocks_mask()
     bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0, 0)
-    for decision in bb.decisions:
-        log.info("ceiling decision (%s case): s*=%d %s, %d steps of the "
-                 "node budget", *decision)
     if bb.best > bb.bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bb.bound}"

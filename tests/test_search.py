@@ -129,18 +129,31 @@ class TestExactSearch:
         assert rep.nodes_visited <= budget
 
     @pytest.mark.parametrize(
-        "make,nodes",
+        "make,nodes,Y,C",
         [
-            (lambda: doubling(build_sts(9, seed=1))[0], 5),
-            (lambda: build_sts(19, seed=1), 5_143),
-            (lambda: build_sts(25, seed=1), 72_584),
-            (lambda: build_sts(27, seed=1), 2_785),
-            (lambda: build_sts(31, seed=1), 93_979),
-            (lambda: bose(15), 132),
+            (lambda: doubling(build_sts(9, seed=1))[0], 5,
+             [9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
+             [0, 1, 2, 3, 9, 10, 11, 17, 18, 24]),
+            (lambda: build_sts(19, seed=1), 5_143,
+             [0, 1, 2, 3, 4, 5, 6, 7, 10],
+             [47, 48, 49, 50, 51, 53, 54, 55, 56]),
+            (lambda: build_sts(25, seed=1), 72_584,
+             [0, 1, 3, 4, 5, 6, 7, 9, 18, 19, 20, 22, 23],
+             [30, 31, 32, 33, 72, 75, 76, 80, 81, 83, 84, 88, 90]),
+            (lambda: build_sts(27, seed=1), 2_785,
+             [0, 1, 2, 3, 4, 5, 9, 10, 13, 14, 19, 20, 22, 24, 26],
+             [63, 64, 66, 69, 70, 71, 72, 77, 96, 100, 101, 104, 105, 115,
+              116]),
+            (lambda: build_sts(31, seed=1), 93_979,
+             [0, 1, 3, 4, 5, 6, 8, 9, 11, 12, 16, 17, 18, 20, 21, 25, 29, 30],
+             [36, 38, 39, 42, 87, 89, 90, 91, 110, 111, 114, 125, 128, 129,
+              132, 145, 151, 154]),
+            (lambda: bose(15), 132, [0, 1, 2, 3, 4, 10],
+             [25, 26, 27, 28, 29, 30]),
         ],
         ids=["doubling9", "sts19", "sts25", "sts27", "sts31", "bose15"],
     )
-    def test_ladder_node_counts(self, make, nodes):
+    def test_ladder_node_counts(self, make, nodes, Y, C):
         # The search is deterministic, so a change to its warm start, child
         # order or pruning that should leave it alone must keep these
         # counts, not only fit the budgets above.  The orbit skip took
@@ -159,9 +172,13 @@ class TestExactSearch:
         # v=31 has even m = 12 at its ceiling 19 and 2E = 18 >= m, so no
         # decision runs and the tree proves 18 under the parity floor 1;
         # that floor inverted (0 at even m, 1 at odd m) reads 89,839.
+        # The certificate pins which points and blocks are certified:
+        # the first best points of the best set in label order, and the
+        # first best blocks they miss in block order.
         rep = exact_max_nonincident(make())
         assert rep.exact
         assert rep.nodes_visited == nodes
+        assert list(rep.certificate.Y) == Y and list(rep.certificate.C) == C
 
     @pytest.mark.slow
     def test_bose33_proved_within_budget(self):
@@ -1151,6 +1168,24 @@ class TestCeilingDecision:
         for record, line in zip(records, lines):
             assert record.levelno == logging.INFO
             assert record.getMessage().startswith(line)
+
+    def test_logs_each_decision_when_it_is_made(self, monkeypatch, caplog):
+        # Greedy's 13 on build_sts(25, 1) runs the full-point decision at
+        # 14 before the tree, so its line must come before the tree's first
+        # node, not after the whole search.
+        rec, logged = _BranchAndBound._rec, []
+
+        def record(self, *args):
+            if not logged:
+                logged.append([r.getMessage() for r in caplog.records])
+            return rec(self, *args)
+
+        monkeypatch.setattr(_BranchAndBound, "_rec", record)
+        with caplog.at_level(logging.INFO, logger="nonincidence"):
+            exact_max_nonincident(build_sts(25, seed=1))
+        assert [line.split(",")[0] for line in logged[0]] == [
+            "ceiling decision (parity case): s*=15 refuted",
+            "ceiling decision (full point case): s*=14 floor lifted"]
 
 
 class TestGreedy:
