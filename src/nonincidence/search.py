@@ -333,8 +333,9 @@ def _greedy(d: Design) -> list[int]:
 def _report(d: Design, method: str, start: float, best: int, Y,
             exact: bool, nodes: int) -> SearchReport:
     """The report of a search whose best set Y reaches best.  Its
-    certificate takes best points of Y and the first best blocks that Y
-    misses; bound_used is the paper's bound at d.v.
+    certificate takes the first best points of Y in label order and the
+    first best blocks that Y misses; bound_used is the paper's bound at
+    d.v.
     """
     mask = d.all_blocks_mask()
     for p in Y:
