@@ -13,6 +13,7 @@ that names its --out file, which the certificate would overwrite.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -86,6 +87,12 @@ def cmd_construct(args) -> int:
         print(f"error: the certificate path {cert_path} names the --out "
               f"file {args.out}", file=sys.stderr)
         return EXIT_USAGE
+    # A missing directory is learnt before the build, not after it.
+    if not Path(args.out).parent.is_dir():
+        exc = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                args.out)
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     cert = None
     try:
         if args.double_from is not None:

@@ -12,9 +12,22 @@ orders the paper's bound is defined for: at any other order both searches
 raise ValueError from nonincidence_upper_bound.
 
 The exact search is one branch-and-bound.  Its incumbent starts from the
-greedy heuristic.  At each node every candidate's live degree is computed
-once, and children go in ascending degree order with t - degree as their
-t.
+greedy heuristic and is then raised, before the tree, by a swap search on
+W = V - Y (_swap_search): for a target s it takes s points and swaps one
+point of Y for one outside at a time.  With inside the blocks that miss
+Y and one those that meet Y in exactly one point, swapping y for w leaves
+t - |inc[w] & inside| + |inc[y] & one| - 1 blocks, the 1 only where the
+block through y and w has its third point outside Y: that block met Y in
+y alone but holds w.  It runs after greedy, and after any ceiling
+decision (below) that greedy's incumbent starts, and tries best + 1 while
+the incumbent is below the ceiling; so the decision still decides the
+ceiling, and the swap search tries the ceiling only where the decision
+has lifted the floor.  A set it finds is a real incumbent, which the tree
+and the decision bound as any other: exactness rests on them alone.  Its
+swaps, like greedy's steps, do not count against the node budget.
+
+At each node every candidate's live degree is computed once, and
+children go in ascending degree order with t - degree as their t.
 
 Counting bound, tested at one size.  A node with points Y can beat best
 only by adding need = best - |Y| + 1 or more candidates.  Adding points
@@ -167,8 +180,8 @@ class SearchReport:
     the steps of its full-point ceiling decision, which count against the
     same budget: 0 when the warm start already meets the ceiling, and the
     budget itself when the budget runs out, so a report never exceeds its
-    budget.  For method "greedy" they are the points greedy took, which
-    equals best_s.
+    budget.  The warm start's greedy steps and swaps are not counted.  For
+    method "greedy" they are the points greedy took, which equals best_s.
     """
 
     best_s: int
@@ -330,6 +343,66 @@ def _greedy(d: Design) -> list[int]:
     return Y
 
 
+# Swaps one _swap_search call may make before it gives up.
+_SWAP_STEPS = 30
+
+
+def _swap_search(d: Design, Y, s: int):
+    """Seek a set of s points that misses at least s blocks, from the
+    point set Y of s - 1 points, by swaps; return (Z, t, swaps): the
+    sorted points Z it ends on, the t blocks they miss and the swaps made.
+    Z reaches s exactly when t >= s.
+
+    Z starts as Y plus the outside point of least live degree, ties to the
+    lower index.  With inside the blocks that miss Z and one those that
+    meet it in exactly one point, swapping y in Z for w outside leaves
+        t - |inc[w] & inside| + |inc[y] & one| - [third[y][w] >= 0 and
+        third[y][w] not in Z]:
+    the blocks through w that missed Z die, those that met Z only in y
+    come alive, and the block {y, w, third[y][w]} was one of the latter
+    but holds w.  Each swap takes the largest value, ties to the first
+    (y, w) in index order, even where t falls; a point just moved may not
+    move again for the next 2 swaps.  The search stops once t >= s, after
+    _SWAP_STEPS swaps, or when no swap is allowed.
+    """
+    inc, third, full = d.point_incidence, d.third, d.all_blocks_mask()
+    Z = set(Y)
+    inside = full
+    for p in Z:
+        inside &= ~inc[p]
+    p = min((p for p in range(d.v) if p not in Z),
+            key=lambda p: (inc[p] & inside).bit_count())
+    Z.add(p)
+    t = (inside & ~inc[p]).bit_count()
+    # moved[p]: the swap that last moved p.
+    moved = [-3] * d.v
+    swaps = 0
+    while t < s and swaps < _SWAP_STEPS:
+        c1 = c2 = 0
+        for p in Z:
+            c2 |= c1 & inc[p]
+            c1 |= inc[p]
+        inside, one = full & ~c1, c1 & ~c2
+        out = [(w, (inc[w] & inside).bit_count()) for w in range(d.v)
+               if w not in Z and swaps - moved[w] > 2]
+        best = None
+        for y in sorted(Z):
+            if swaps - moved[y] > 2:
+                gain, row = t + (inc[y] & one).bit_count(), third[y]
+                for w, loss in out:
+                    value = gain - loss - (row[w] >= 0 and row[w] not in Z)
+                    if best is None or value > best[0]:
+                        best = (value, y, w)
+        if best is None:
+            break
+        t, y, w = best
+        Z.remove(y)
+        Z.add(w)
+        moved[y] = moved[w] = swaps
+        swaps += 1
+    return sorted(Z), t, swaps
+
+
 def _report(d: Design, method: str, start: float, best: int, Y,
             exact: bool, nodes: int) -> SearchReport:
     """The report of a search whose best set Y reaches best.  Its
@@ -384,6 +457,16 @@ class _BranchAndBound:
             # Greedy leaves t at least |Y|, so its value is |Y|.
             Y = _greedy(d)
             self._incumbent(len(Y), Y)
+        # The swap search raises the incumbent while it can; its steps are
+        # not counted against the budget.
+        while self.best < self.ceiling and not self.truncated:
+            s = self.best + 1
+            Z, t, swaps = _swap_search(d, self.best_Y, s)
+            log.info("swap search: s=%d %s, swaps used: %d", s,
+                     "found" if t >= s else "not found", swaps)
+            if t < s:
+                break
+            self._incumbent(s, Z)
 
     def _incumbent(self, value, Y):
         """Take the point set Y as the new incumbent of the given value,

@@ -152,6 +152,26 @@ class TestConstruct:
         assert capsys.readouterr().err == (
             "error: doubling STS(9) gives order 19, not 21\n")
 
+    @pytest.mark.parametrize("flags", [
+        (), ("--sub", "31"), ("--double-from", "63")],
+        ids=["plain", "sub", "double"])
+    def test_missing_out_directory_fails_before_the_build(
+            self, tmp_path, monkeypatch, capsys, flags):
+        # The directory of --out is asked for before anything is built, so
+        # a large design costs nothing: each construction fails if called.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before --out was checked")
+
+        for name in ("build_sts", "embed_subsystem", "doubling"):
+            monkeypatch.setattr(cli.cons, name, refuse)
+        out = tmp_path / "missing" / "x.json"
+        assert run("construct", "--order", "127", *flags,
+                   "--out", str(out)) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err == ("error: cannot write: [Errno 2] No such file or "
+                       f"directory: '{out}'\n")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flags,path", [
         (("--out", "missing/x.json"), "missing/x.json"),
         (("--sub", "7", "--out", "d.json"), "d.cert.json"),

@@ -28,6 +28,12 @@ from nonincidence.search import _BranchAndBound, _orbits, kill_bound
 from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle, reference_greedy
 
 
+def _no_swaps(monkeypatch):
+    """Switch the swap search off: every try ends where it starts, with
+    no block counted, so it never raises the incumbent."""
+    monkeypatch.setattr(search, "_swap_search", lambda d, Y, s: (Y, 0, 0))
+
+
 def relabel(d, seed):
     perm = list(range(d.v))
     random.Random(seed).shuffle(perm)
@@ -109,14 +115,17 @@ class TestExactSearch:
         # doubling15 to 36,234: only the point-transitive v=27 has much
         # symmetry to skip.  The full-point ceiling decision ends the v=27
         # search at 2,785: 1,720 nodes reach 15, then 1,065 steps on point
-        # 0 refute 16.  At v=25 the parity case lowers the ceiling to 14
-        # (even m); the full-point decision at 14 (odd m, E = 13 >= m = 11)
-        # then finds no full point in 41,095 steps and lifts the floor, and
+        # 0 refute 16; the swap search now reaches 15 before the tree, so
+        # the 1,065 steps are all.  At v=25 the parity case lowers the
+        # ceiling to 14 (even m); the full-point decision at 14 (odd m,
+        # E = 13 >= m = 11) then finds no full point in 41,095 steps and
+        # lifts the floor, and
         # the tree proves 13 in 31,489 nodes: 72,584 in all, against
         # 64,813 tree nodes without the decision.  v=31 has even m and
         # 2E >= m, so neither case runs there.
         # bose(21) has no sub-STS(9), so its ceiling is lowered from 12 to
-        # 11: the search takes 222 nodes, and 651 without the lowering.
+        # 11: the search took 222 nodes, and 651 without the lowering; the
+        # swap search now reaches 11 before the tree, in 0 nodes.
         if v == "doubling15":
             d = doubling(build_sts(15, seed=1))[0]
         elif v == "bose21":
@@ -140,10 +149,9 @@ class TestExactSearch:
             (lambda: build_sts(25, seed=1), 72_584,
              [0, 1, 3, 4, 5, 6, 7, 9, 18, 19, 20, 22, 23],
              [30, 31, 32, 33, 72, 75, 76, 80, 81, 83, 84, 88, 90]),
-            (lambda: build_sts(27, seed=1), 2_785,
-             [0, 1, 2, 3, 4, 5, 9, 10, 13, 14, 19, 20, 22, 24, 26],
-             [63, 64, 66, 69, 70, 71, 72, 77, 96, 100, 101, 104, 105, 115,
-              116]),
+            (lambda: build_sts(27, seed=1), 1_065,
+             [2, 3, 4, 6, 7, 8, 11, 13, 15, 17, 18, 19, 20, 21, 26],
+             [0, 4, 12, 16, 23, 24, 58, 62, 81, 83, 85, 94, 103, 105, 112]),
             (lambda: build_sts(31, seed=1), 93_979,
              [0, 1, 3, 4, 5, 6, 8, 9, 11, 12, 16, 17, 18, 20, 21, 25, 29, 30],
              [36, 38, 39, 42, 87, 89, 90, 91, 110, 111, 114, 125, 128, 129,
@@ -165,7 +173,9 @@ class TestExactSearch:
         # steps take about 4 ms against the tree's 15 ms on a 2-core Xeon
         # under CPython 3.11); and v=27 from 9,236 to 1,720 nodes
         # and 1,065 steps, which refute 16 at point 0 of a point-transitive
-        # design.  bose(15) has even m = 8, so it kept its count.  v=25
+        # design; the swap search then took greedy's 14 to 15 in 3 swaps,
+        # so the 1,720 nodes and the certificate went.  bose(15) has even
+        # m = 8, so it kept its count.  v=25
         # went from 64,813 tree nodes to 41,095 steps that refute a full
         # point at 14 and 31,489 nodes under the lifted floor: fewer tree
         # nodes and cheaper steps, about 0.48 s to 0.29 s on that Xeon.
@@ -185,11 +195,12 @@ class TestExactSearch:
         # 14,458,809 nodes without the defect bound, 3,257,763 with it but
         # without its parity term, 2,146,188 with both, 616,148 once root
         # and first-child children symmetric to an earlier sibling are
-        # skipped, and 294,090 once a refuted full point at the lowered
-        # ceiling 20 lifts the floor (9,907 of them decision steps).
+        # skipped, 294,090 once a refuted full point at the lowered
+        # ceiling 20 lifts the floor (9,907 of them decision steps), and
+        # 276,482 once the swap search raises greedy's incumbent.
         d = bose(33)
         rep = exact_max_nonincident(d, node_budget=300_000)
-        assert rep.exact and rep.nodes_visited == 294_090
+        assert rep.exact and rep.nodes_visited == 276_482
         assert rep.best_s == 19
         assert verify_certificate(d, rep.certificate, require_square=True)
 
@@ -217,10 +228,12 @@ class TestExactSearch:
         assert rep.exact
         assert verify_certificate(d, rep.certificate, require_square=True)
 
-    def test_ceiling_met_inside_the_tree(self):
+    def test_ceiling_met_inside_the_tree(self, monkeypatch):
         # v=15 is no family order and greedy stops at 6, below the ceiling
         # of 7, so the search itself reaches 7.  The limit that incumbent
-        # sets prunes every node left: the search ends after 13 nodes.
+        # sets prunes every node left: the search ends after 13 nodes.  The
+        # swap search would reach 7 before the tree, so it is off.
+        _no_swaps(monkeypatch)
         d = relabel(embed_subsystem(7, 15, seed=0).design, 0)
         assert greedy_max_nonincident(d).best_s == 6
         rep = exact_max_nonincident(d)
@@ -443,7 +456,8 @@ class TestDefectBound:
         ],
         ids=["bose15", "doubling9", "sts19", "bose21", "sts25_subset"],
     )
-    def test_kept_counts_match_a_recount_at_every_node(self, make, decide):
+    def test_kept_counts_match_a_recount_at_every_node(self, make, decide,
+                                                      monkeypatch):
         # The search keeps x1, x2, e, the odd-defect mask o and the defect
         # mask xd as it goes; at every node they must equal a recount from
         # Y and the excluded points xm alone, and Y, xm and the candidates
@@ -452,7 +466,10 @@ class TestDefectBound:
         # v=25 subset, and the tree runs as it does without it.  On the
         # subset greedy stops at 12 and the tree reaches 13, where the
         # decision lifts the floor to 2; no node before that may read a
-        # lifted floor.
+        # lifted floor.  The swap search, which would reach the doubling9
+        # ceiling, the bose21 maximum and the subset's 13 before the tree,
+        # is off.
+        _no_swaps(monkeypatch)
         d = make()
         third = _third_points(d)
         seen, floors = [], []
@@ -721,18 +738,19 @@ class TestOrbits:
         # Out of steps, no map is found and no child is skipped: the search
         # is still exact.  It reaches 15 at node 1,720, as with orbits, but
         # the ceiling decision then refutes 16 at each of the 27 points in
-        # place of point 0 alone: 31,831 nodes and steps in all (24,121
-        # tree nodes before the decision).
+        # place of point 0 alone: 30,111 steps.  The swap search reaches 15
+        # before the tree, so these steps are all (31,831 with the 1,720
+        # nodes, 24,121 tree nodes before the decision).
         monkeypatch.setattr(search, "_ORBIT_STEPS", 0)
         d = build_sts(27, seed=1)
         assert _orbits(d) == _orbits(d, (0,)) == list(range(27))
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == 15
-        assert rep.nodes_visited == 31_831
+        assert rep.nodes_visited == 30_111
 
     @pytest.mark.parametrize("make,nodes,asked", [
-        (lambda: build_sts(27, seed=1), 2_785, [()]),
-        (lambda: doubling(build_sts(15, seed=1))[0], 36_234, [(0,), ()]),
+        (lambda: build_sts(27, seed=1), 1_065, [()]),
+        (lambda: doubling(build_sts(15, seed=1))[0], 34_215, [(0,), ()]),
         (lambda: build_sts(25, seed=1), 72_584, [(), (0,)]),
     ], ids=["sts27", "doubling15", "sts25"])
     def test_asks_for_the_root_and_the_first_child_stabiliser(
@@ -740,8 +758,7 @@ class TestOrbits:
         # One orbit computation for the first child, fixing its point, and
         # one for the root; none at any other node, not even at the later
         # root children that doubling15's 11 root orbits leave to enter.
-        # v=27 reaches 15 below the first child's first child, at node
-        # 1,720, so its first child never reaches a second child: the one
+        # v=27 reaches 15 by the swap search, before the tree, so the one
         # call is the ceiling decision's, for the root orbits, after point
         # 0 fails; that decision ends the search.  On v=25 the decision
         # runs on greedy's 13 and lifts the floor, so the tree goes on; its
@@ -993,8 +1010,9 @@ class TestCeilingDecision:
         # with e >= o/2, prunes every node.  That took 60,100 tree nodes.
         # Now greedy's 13 runs the full-point decision at 14, which finds
         # no full point in 41,159 steps (no W of this design that reaches
-        # 14 has one) and lifts the floor; the tree then reaches 14 at
-        # node 30,320 of its own: 71,479 in all.
+        # 14 has one) and lifts the floor.  The tree then reached 14 at
+        # node 30,320 of its own, 71,479 in all; now the swap search
+        # reaches 14 in 10 swaps, before the tree.
         taken = []
         incumbent = _BranchAndBound._incumbent
 
@@ -1006,7 +1024,7 @@ class TestCeilingDecision:
         d = build_sts(25, seed=0)
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == 14 and rep.bound_used == 15
-        assert taken[-1] == (14, rep.nodes_visited) == (14, 71_479)
+        assert taken[-1] == (14, rep.nodes_visited) == (14, 41_159)
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     @pytest.mark.parametrize("v", [19, 27])
@@ -1014,7 +1032,8 @@ class TestCeilingDecision:
     def test_witness_reaches_the_bound(self, v, seed):
         # W holds s* blocks, so the decision must find a W through a full
         # point.  On these designs the search takes 95-2,201 nodes and
-        # steps at v=19 and 4,743-8,154 at v=27; without the decision the
+        # steps at v=19 and 3,591-7,514 at v=27 (4,743-8,154 without the
+        # swap search); with neither the decision nor the swap search the
         # tree takes 973-1,352 and 7,564-17,191 nodes.
         d = _packed_witness(v, seed)
         rep = exact_max_nonincident(d)
@@ -1146,20 +1165,29 @@ class TestCeilingDecision:
         (lambda: doubling(build_sts(9, seed=1))[0], 10_000,
          ["ceiling decision (full point case): s*=10 found, 5 steps"]),
         (lambda: bose(21), 10_000,
-         ["ceiling decision (subsystem case): s*=12 refuted, 0 steps"]),
+         ["ceiling decision (subsystem case): s*=12 refuted, 0 steps",
+          "swap search: s=11 found, swaps used: 3"]),
         (lambda: build_sts(25, seed=0), 100_000,
          ["ceiling decision (parity case): s*=15 refuted, 0 steps",
-          "ceiling decision (full point case): s*=14 floor lifted, 41159 "]),
-        (lambda: bose(15), 10_000, []),
-        (lambda: build_sts(37, seed=1), 10_000, []),
+          "ceiling decision (full point case): s*=14 floor lifted, 41159 ",
+          "swap search: s=14 found, swaps used: 10"]),
+        (lambda: bose(15), 10_000,
+         ["swap search: s=7 not found, swaps used: 30"]),
+        (lambda: build_sts(37, seed=1), 10_000,
+         ["swap search: s=22 found, swaps used: 1",
+          "swap search: s=23 not found, swaps used: 30"]),
     ], ids=["sts19", "sts19_budget", "doubling9", "bose21", "sts25",
             "bose15", "sts37"])
     def test_logs_one_info_line(self, make, budget, lines, caplog):
-        # One INFO line per decision, in the order they are made: v=25
-        # lowers its ceiling by parity and then decides the full-point
-        # case at 14.  bose(15) has no decision (even m, 2E >= m);
-        # build_sts(37, 1) would have one at an incumbent of 23, which a
-        # 10,000-node search does not reach.
+        # One INFO line per decision and per swap-search try, in the order
+        # they are made: v=25 lowers its ceiling by parity, decides the
+        # full-point case at 14 and then swaps its way to 14.  bose(21)
+        # swaps to 11 once its subsystem case lowers the ceiling to that.
+        # bose(15) has no decision (even m, 2E >= m) and its swap search
+        # fails; build_sts(37, 1) swaps from greedy's 21 to 22, fails at
+        # 23, and would decide at an incumbent of 23, which a 10,000-node
+        # search does not reach.  A search that ends in the decision, as
+        # on sts19 and doubling9, tries no swap.
         with caplog.at_level(logging.INFO, logger="nonincidence"):
             exact_max_nonincident(make(), node_budget=budget)
         records = [r for r in caplog.records
@@ -1171,8 +1199,8 @@ class TestCeilingDecision:
 
     def test_logs_each_decision_when_it_is_made(self, monkeypatch, caplog):
         # Greedy's 13 on build_sts(25, 1) runs the full-point decision at
-        # 14 before the tree, so its line must come before the tree's first
-        # node, not after the whole search.
+        # 14 and then a swap search before the tree, so their lines must
+        # come before the tree's first node, not after the whole search.
         rec, logged = _BranchAndBound._rec, []
 
         def record(self, *args):
@@ -1185,7 +1213,99 @@ class TestCeilingDecision:
             exact_max_nonincident(build_sts(25, seed=1))
         assert [line.split(",")[0] for line in logged[0]] == [
             "ceiling decision (parity case): s*=15 refuted",
-            "ceiling decision (full point case): s*=14 floor lifted"]
+            "ceiling decision (full point case): s*=14 floor lifted",
+            "swap search: s=14 not found"]
+
+
+def _missed(d, Z):
+    """The blocks that miss the point set Z, by a scan of the block tuples."""
+    return sum(1 for b in d.blocks if not set(b) & set(Z))
+
+
+# The designs the swap search is run on: the agreement and floor-lift sets,
+# and the block subsets of the symmetry check (partial designs, where some
+# pairs lie on no block).
+SWAP_DESIGNS = AGREEMENT_DESIGNS + LIFT_DESIGNS + [
+    (name, d) for name, d in SOUNDNESS_DESIGNS
+    if "subset" in name or "every_other" in name]
+
+
+class TestSwapSearch:
+    def test_every_set_it_returns_reaches_its_target(self):
+        # From greedy's set, one above it and on from each set found, with
+        # no ceiling to stop it: every set has s distinct points, its t is
+        # the blocks it misses, and a set returned as found misses at least
+        # s of them.
+        found = 0
+        for _, d in SWAP_DESIGNS:
+            Y = search._greedy(d)
+            while len(Y) < d.v:
+                s = len(Y) + 1
+                Y, t, swaps = search._swap_search(d, Y, s)
+                assert len(set(Y)) == len(Y) == s
+                assert set(Y) <= set(range(d.v))
+                assert t == _missed(d, Y)
+                assert 0 <= swaps <= search._SWAP_STEPS
+                if t < s:
+                    break
+                found += 1
+                assert s <= nonincidence_upper_bound(d.v)
+        assert found >= 20
+
+    @pytest.mark.parametrize("name,d", [
+        pytest.param(name, d,
+                     marks=[pytest.mark.slow] if name == "bose33" else [],
+                     id=name)
+        for name, d in AGREEMENT_DESIGNS + LIFT_DESIGNS])
+    def test_same_answer_without_it_and_no_more_nodes(self, name, d,
+                                                       monkeypatch):
+        rep = exact_max_nonincident(d)
+        _no_swaps(monkeypatch)
+        plain = exact_max_nonincident(d)
+        assert (rep.best_s, rep.exact) == (plain.best_s, plain.exact)
+        assert rep.nodes_visited <= plain.nodes_visited
+
+    @pytest.mark.parametrize("make", [
+        lambda: bose(15),
+        lambda: bose(21),
+        lambda: relabel(bose(27), 0),
+        lambda: build_sts(25, seed=1),
+        lambda: build_sts(25, seed=0),
+        lambda: build_sts(27, seed=1),
+        lambda: build_sts(31, seed=1),
+        lambda: build_sts(37, seed=1),
+        lambda: _sts25_subset(25, 2504),
+        lambda: bose(33),
+    ], ids=["bose15", "bose21", "bose27_relabel", "sts25", "sts25_0",
+            "sts27", "sts31", "sts37", "sts25_subset", "bose33"])
+    def test_swap_value_matches_a_recount_after_every_swap(self, make,
+                                                          monkeypatch):
+        # Each try the search makes before its tree is run again under a
+        # cap of k swaps for every k, which stops it on the set it holds
+        # after its k-th swap: the search is deterministic.  The t it kept
+        # by the swap value must be the blocks that set misses.  A value
+        # without the third-point correction counts the block
+        # {y, w, third[y][w]} as alive, and the first swap it picks for
+        # that leaves a wrong t.
+        d = make()
+        tries = []
+        swap_search = search._swap_search
+
+        def record(d, Y, s):
+            tries.append((tuple(Y), s))
+            return swap_search(d, Y, s)
+
+        monkeypatch.setattr(search, "_swap_search", record)
+        _BranchAndBound(d, 10**6)
+        assert tries
+        swaps_made = 0
+        for Y, s in tries:
+            for k in range(search._SWAP_STEPS + 1):
+                monkeypatch.setattr(search, "_SWAP_STEPS", k)
+                Z, t, swaps = swap_search(d, Y, s)
+                assert len(Z) == s and t == _missed(d, Z), (s, k)
+            swaps_made += swaps
+        assert swaps_made > 0
 
 
 class TestGreedy:
