@@ -6,8 +6,11 @@ cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
 --seed or --zmax, construct given both --sub and --double-from, an
 inadmissible order, --sub 1 or --double-from 1, whose sub-design has no
 block to certify, a search --out that names its --design file, which the
-report would overwrite, and a construct certificate path <stem>.cert.json
-that names its --out file, which the certificate would overwrite.
+report would overwrite, a construct certificate path <stem>.cert.json
+that names its --out file, which the certificate would overwrite, and a
+construct order above MAX_ORDER (100,000) that no budget refusal stops
+first.  A design file whose order is above MAX_ORDER cannot be read:
+search and verify exit 1 before they allocate anything for it.
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ Three routes: the classical Bose construction for v = 3 mod 6, the
 doubling construction STS(w) -> STS(2w+1) (which also yields a maximal
 arc on the new points), and randomized hill-climbing completion around a
 frozen sub-design for everything the direct constructions do not reach.
+
+Every route refuses an order above MAX_ORDER (see design.py) with
+DesignError, a ValueError, before it allocates anything that grows with
+the order: bose and doubling at once, and the hill-climb, which
+build_sts and embed_subsystem reach, right after its budget test.  So a
+climb that its budget cannot finish still raises BudgetExhausted first.
 """
 
 from __future__ import annotations
@@ -12,7 +18,13 @@ import random
 from bisect import insort
 from dataclasses import dataclass, field
 
-from .design import Design, NonincidenceCertificate, is_subsystem, validate_design
+from .design import (
+    Design,
+    NonincidenceCertificate,
+    check_order,
+    is_subsystem,
+    validate_design,
+)
 
 DEFAULT_MOVE_BUDGET = 10_000_000
 
@@ -41,9 +53,13 @@ def one_factorization(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def bose(v: int) -> Design:
-    """Bose construction of an STS(v) on Z_n x {0,1,2}, n = v/3 odd."""
+    """Bose construction of an STS(v) on Z_n x {0,1,2}, n = v/3 odd.
+
+    An order above MAX_ORDER raises DesignError before any block is built.
+    """
     if v % 6 != 3:
         raise ValueError(f"Bose construction needs v = 3 mod 6, got {v}")
+    check_order(v)
     n = v // 3
     inv2 = (n + 1) // 2
 
@@ -69,6 +85,7 @@ def doubling(sub: Design) -> tuple[Design, tuple[int, ...]]:
     if not validate_design(sub).ok:
         raise ValueError(f"doubling input is not a valid STS({sub.v})")
     w = sub.v
+    check_order(2 * w + 1)
     factors = one_factorization(w + 1)
     blocks = list(sub.blocks)
     for x in range(w):
@@ -120,13 +137,15 @@ def _hill_climb(
 
     A move adds at most one block, so a climb that needs more than
     move_budget new blocks cannot finish: it raises at once, before it
-    draws or allocates its v x v tables.
+    draws or allocates its v x v tables.  Past that test, an order above
+    MAX_ORDER raises DesignError, also before anything is allocated.
     """
     target = v * (v - 1) // 6
     out_of_moves = BudgetExhausted(
         f"no STS({v}) completion within {move_budget} moves")
     if target - len(fixed_blocks) > move_budget:
         raise out_of_moves
+    check_order(v)
     cover: list[list[tuple[int, int, int] | None]] = [[None] * v for _ in range(v)]
     points = list(range(v))
     unc = [points[:x] + points[x + 1:] for x in points]
@@ -252,7 +271,8 @@ def build_sts(
 ) -> Design:
     """Some STS(v): Bose when v = 3 mod 6, hill-climbing when v = 1 mod 6.
 
-    move_budget bounds the climb; Bose makes no moves.
+    move_budget bounds the climb; Bose makes no moves.  An order above
+    MAX_ORDER raises DesignError (module docstring).
     """
     if v % 6 not in (1, 3) or v < 1:
         raise ValueError(f"order {v} is inadmissible (need v >= 1, 1 or 3 mod 6)")

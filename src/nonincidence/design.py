@@ -16,7 +16,13 @@ validate_design applies it to all v points, so a design is an STS(v)
 exactly when 3b = v(v-1)/2, and is_subsystem to a point set.  The
 callers that need the third point of a pair, find_subsystem and _orbits
 in the exact search, read Design.third instead: a v x v table, built on
-first use and then kept.
+first use and then kept.  _orbits also reads Design.pasch, the number of
+Pasch configurations through each block, built from third on first use
+and kept likewise.  Neither table is built by from_blocks, by
+validate_design or by certificate checks, which never need them.
+
+Every design has at most MAX_ORDER points; from_blocks refuses a larger
+order before it allocates anything.
 """
 
 from __future__ import annotations
@@ -25,9 +31,19 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from operator import eq, itemgetter
 
 
 DIGEST_ALGORITHM = "sha256"
+
+# The largest order a design may have.  Design.from_blocks and the
+# constructions check it before they allocate anything that grows with v,
+# so an order such as 10**9 is refused at once: from_blocks would take 16
+# bytes a point before it reads a block.  At the limit that is 1.6 MB, so
+# a sparse design file of that order still loads.  An STS near the limit
+# is far past what a construction can hold: its point masks alone take
+# about v^3/48 bytes.
+MAX_ORDER = 100_000
 
 
 class DesignError(ValueError):
@@ -64,6 +80,7 @@ class Design:
     def from_blocks(cls, v: int, blocks) -> "Design":
         if not _is_int(v) or v < 1:
             raise DesignError(f"point count {v!r} is not a positive integer")
+        check_order(v)
         canon = []
         for blk in blocks:
             pts = tuple(blk)
@@ -76,10 +93,7 @@ class Design:
                 raise DesignError(f"block {blk!r} has a point outside 0..{v - 1}")
             canon.append(pts)
         canon.sort()
-        try:
-            point_inc = [0] * v
-        except (OverflowError, MemoryError) as exc:
-            raise DesignError(f"point count {v} is too large to hold") from exc
+        point_inc = [0] * v
         block_mask = []
         for i, (a, b, c) in enumerate(canon):
             # Two points share an earlier block iff their masks meet.
@@ -132,6 +146,30 @@ class Design:
             table[b][c] = table[c][b] = a
         return tuple(map(tuple, table))
 
+    @cached_property
+    def pasch(self) -> tuple[int, ...]:
+        """pasch[i]: the Pasch configurations that hold block i.
+
+        A Pasch configuration is four blocks on six points, each point on
+        two of them.  One that holds {a, b, c} has three more blocks
+        {b, z, y}, {a, y, x} and {c, z, x}, where z is the one point of
+        the six on no block with a.  So it is counted once, at its z: the
+        z with third[a][third[b][z]] == third[c][z].  z = a always passes,
+        as third[a][third[b][a]] = third[a][c] = b = third[c][a], and is
+        taken off.  third holds -1 for a point with itself and for a pair
+        on no block, and two -1s must not match.  So the left side reads a
+        copy of each row with -2 for -1 and -2 appended, the entry that
+        index -1 reads: a -1 anywhere on the way gives -2, which no entry
+        of third is.  So a partial design gets a table too.  One C-level
+        pass per block.  Cached like third, and built only by its one
+        reader, the exact search's orbits.
+        """
+        third = self.third
+        rows = [tuple(x if x >= 0 else -2 for x in row) + (-2,) for row in third]
+        chain = [itemgetter(*row) for row in third]
+        return tuple(sum(map(eq, chain[b](rows[a]), third[c])) - 1
+                     for a, b, c in self.blocks)
+
     @classmethod
     def from_json(cls, text: str) -> "Design":
         """Design from its JSON form.
@@ -144,6 +182,12 @@ class Design:
             return cls.from_blocks(data["v"], data["blocks"])
         except (KeyError, TypeError, RecursionError) as exc:
             raise DesignError(f"malformed design file: {exc}") from exc
+
+
+def check_order(v: int) -> None:
+    """DesignError, a ValueError, when the order v is above MAX_ORDER."""
+    if v > MAX_ORDER:
+        raise DesignError(f"order {v} is above the limit of {MAX_ORDER}")
 
 
 def _point_mask(d: Design, points) -> int:

@@ -117,7 +117,11 @@ need the orbits of its own stabiliser, so no other node skips.  A skipped
 child is neither entered nor counted, but its point is excluded as an
 explored child's is, and the floor test after it still runs.  Orbits
 are computed when a sibling loop first reaches its second child, so a
-search that ends inside its first child computes none.
+search that ends inside its first child computes none.  They start from
+classes that no automorphism can cross, read from the design's Pasch
+table (Design.pasch), which is built once per design and kept, so a
+design searched again, or a stabiliser's orbits after the root's, reuse
+it; the orbit lists themselves are computed once per search.
 
 Ceiling decision.  At the root the sum is f*m, so f*m > 2E refutes s
 before any tree.  The search walks its ceiling down from the paper's bound
@@ -225,30 +229,43 @@ def _orbits(d: Design, fixed=()) -> list[int]:
     """For each point, the least point of its orbit under the automorphisms
     of d that fix every point of fixed, as far as _ORBIT_STEPS allows.
 
-    Points are first split by an invariant: the blocks and the Pasch
-    configurations through each point, with each point of fixed in a class
-    of its own.  The orbits found so far are one list, orbit, with orbit[p]
-    the least point of p's orbit.  Each point b that is still the least of
-    its orbit is tested by _automorphism against each earlier such point r
-    of its class.  A map g found merges each p with g[p]: of orbit[p] and
-    orbit[g[p]], the larger is relabelled as the smaller everywhere in the
-    list, which is returned.  Without the cap these are exactly the orbits;
-    with it, an orbit may stay split, never joined to another.  The
-    classes are not refined further: fixing a point sets only that point
-    apart, so the other orbits of a stabiliser are told apart only by
-    failed map searches.
+    Points are first split by an invariant, read from the design's Pasch
+    table (Design.pasch, built once per design): a point's class is the
+    sorted list of the Pasch counts of its blocks, so points on different
+    numbers of blocks never share one.  Each point of fixed is put in a
+    class of its own, and for each such f every other point q is told
+    apart further by the Pasch configurations through f that hold q, an
+    O(r^2) pass over the pairs of f's r blocks: an automorphism that fixes
+    f keeps that count.  The orbits found so far are one list, orbit, with
+    orbit[p] the least point of p's orbit.  Each point b that is still the
+    least of its orbit is tested by _automorphism against each earlier
+    such point r of its class.  A map g found merges each p with g[p]: of
+    orbit[p] and orbit[g[p]], the larger is relabelled as the smaller
+    everywhere in the list, which is returned.  Without the cap these are
+    exactly the orbits; with it, an orbit may stay split, never joined to
+    another.
     """
-    v, third = d.v, d.third
-    # blocks_at[a]: the pairs (b, c), b < c, with {a, b, c} a block.
-    blocks_at = [[(b, c) for b, c in enumerate(row) if b < c]
-                 for row in third]
-    # A Pasch configuration through a: blocks {a, b, c} and {a, x, y}
-    # with {b, x, z} and {c, y, z}, or with x and y swapped.
-    cls = [(len(pairs),
-            sum((third[b][x] >= 0 and third[b][x] == third[c][y])
-                + (third[b][y] >= 0 and third[b][y] == third[c][x])
-                for i, (b, c) in enumerate(pairs) for x, y in pairs[:i]))
-           for pairs in blocks_at]
+    v, third, pasch = d.v, d.third, d.pasch
+    counts = [[] for _ in range(v)]
+    for i, blk in enumerate(d.blocks):
+        for p in blk:
+            counts[p].append(pasch[i])
+    keys = [tuple(sorted(c)) for c in counts]
+    for f in fixed:
+        # A Pasch configuration through f: blocks {f, b, c} and {f, x, y}
+        # with {b, x, z} and {c, y, z}, or with x and y swapped.
+        pairs = [(b, c) for b, c in enumerate(third[f]) if b < c]
+        through = [0] * v
+        for i, (b, c) in enumerate(pairs):
+            rb, rc = third[b], third[c]
+            for x, y in pairs[:i]:
+                for z, w in (rb[x], rc[y]), (rb[y], rc[x]):
+                    if z >= 0 and z == w:
+                        for p in b, c, x, y, z:
+                            through[p] += 1
+        keys = list(zip(keys, through))
+    ids = {}
+    cls = [ids.setdefault(k, len(ids)) for k in keys]
     for i, f in enumerate(fixed):
         cls[f] = -1 - i
     orbit = list(range(v))

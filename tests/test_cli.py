@@ -1,10 +1,22 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from nonincidence import Design, NonincidenceCertificate, cli
+import nonincidence
+from nonincidence import (
+    MAX_ORDER,
+    Design,
+    DesignError,
+    NonincidenceCertificate,
+    cli,
+)
 from nonincidence.cli import (
     EXIT_BUDGET,
     EXIT_DIGEST,
@@ -722,6 +734,75 @@ class TestHostileInput:
         capsys.readouterr()
         cert.write_text(DEEP)
         self._one_error(run(*argv), capsys)
+
+
+# The address space of a child run by _run_capped, in bytes.  A check
+# that is missing then ends in a MemoryError inside the child, never on
+# the host.
+CHILD_ADDRESS_SPACE = 512 * 2**20
+
+
+def _run_capped(*argv):
+    """Run the CLI with argv in a child process whose address space alone
+    is capped at CHILD_ADDRESS_SPACE; return the completed process."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    src = str(Path(nonincidence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "nonincidence.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=120, preexec_fn=cap)
+
+
+class TestOrderLimit:
+    """An order above MAX_ORDER gets one error line and the documented
+    exit code before anything that grows with it is allocated."""
+
+    def test_limit_is_inclusive(self):
+        assert Design.from_blocks(MAX_ORDER, []).v == MAX_ORDER
+        with pytest.raises(DesignError, match="above the limit"):
+            Design.from_blocks(MAX_ORDER + 1, [])
+
+    @pytest.mark.parametrize("flags", [
+        ("--order", str(10**30 + 5)),
+        # The first Bose order above the limit.
+        ("--order", str(next(v for v in range(MAX_ORDER + 1, MAX_ORDER + 7)
+                             if v % 6 == 3))),
+        ("--order", str(10**30 + 3), "--budget", str(10**60)),
+        ("--order", str(10**30 + 3), "--sub", "7", "--budget", str(10**60)),
+    ], ids=["bose_10e30", "bose_limit", "climb_10e30", "embed_10e30"])
+    def test_construct(self, tmp_path, flags):
+        # Bose is refused at once; a climb is refused once its budget test
+        # passes, so a budget that cannot finish still exits 3 first.
+        out = tmp_path / "x.json"
+        proc = _run_capped("construct", *flags, "--out", str(out))
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: order {flags[1]} is above the limit "
+                               f"of {MAX_ORDER}\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["search", "verify"])
+    def test_design_file(self, tmp_path, command):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"v": 10**9, "blocks": [[0, 1, 2]]}))
+        if command == "search":
+            argv = ("--out", str(tmp_path / "r.json"))
+        else:
+            cert = tmp_path / "c.json"
+            cert.write_text(json.dumps({"v": 10**9, "Y": [3], "C": [0],
+                                        "design_digest": "0"}))
+            argv = ("--cert", str(cert))
+        proc = _run_capped(command, "--design", str(design), *argv)
+        assert proc.returncode == EXIT_FAIL, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.endswith(f"order {10**9} is above the limit of "
+                                    f"{MAX_ORDER}\n")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_construct_search_verify_round_trip(tmp_path):

@@ -17,6 +17,8 @@ from nonincidence import (
     embed_subsystem,
     disjoint_block_bound,
     doubling,
+    exact_max_nonincident,
+    greedy_max_nonincident,
     is_subsystem,
     validate_design,
     verify_certificate,
@@ -456,6 +458,20 @@ class TestThirdTable:
         assert fresh == ag23 and hash(fresh) == hash(ag23)
         assert repr(ag23) == repr(fresh) == before
         assert ag23.third is ag23.third
+
+    def test_loading_and_checking_build_no_table(self):
+        # Loading, validating, digesting, greedy and verifying never build
+        # third or the Pasch table.  The exact search of bose(15) asks for
+        # orbits, which build both; a second search reuses them.
+        d = Design.from_json(bose(15).canonical_json())
+        cert = greedy_max_nonincident(d).certificate
+        assert validate_design(d).ok and verify_certificate(d, cert)
+        assert "third" not in vars(d) and "pasch" not in vars(d)
+        exact_max_nonincident(d)
+        assert "third" in vars(d) and "pasch" in vars(d)
+        table = d.pasch
+        exact_max_nonincident(d)
+        assert d.pasch is table
 
 
 class TestSubsystem:

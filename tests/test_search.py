@@ -555,40 +555,15 @@ MAP_SEARCH_PINS = {
         [0, 10, 26, 3, 13, 20, 6, 16, 23, 9, 19, 8, 12, 22, 2, 15, 25, 5, 18,
          1, 17, 21, 4, 11, 24, 7, 14],
     ]),
-    "doubling15": (lambda: doubling(build_sts(15, seed=1))[0], (), 2251, [
-        (0, 1), (0, 3), (1, 3), (0, 4), (1, 4), (3, 4), (0, 5), (0, 15),
-        (1, 15), (3, 15), (4, 15), (0, 16), (1, 16), (3, 16), (4, 16),
-        (15, 16), (2, 17), (2, 18), (17, 18)], [
+    "doubling15": (lambda: doubling(build_sts(15, seed=1))[0], (), 20, [
+        (0, 5), (1, 15), (1, 16), (15, 16)], [
         [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 20, 21, 22, 23, 24,
          25, 26, 27, 28, 29, 15, 16, 17, 18, 19, 30],
     ]),
     "doubling15_stab": (
-        lambda: doubling(build_sts(15, seed=1))[0], (0,), 1382, [
-        (1, 3), (1, 4), (3, 4), (1, 5), (3, 5), (4, 5), (1, 6), (3, 6), (4, 6),
-        (5, 6), (2, 7), (1, 8), (3, 8), (4, 8), (5, 8), (6, 8), (1, 9), (3, 9),
-        (4, 9), (5, 9), (6, 9), (8, 9), (1, 10), (3, 10), (4, 10), (5, 10),
-        (6, 10), (8, 10), (9, 10), (1, 11), (3, 11), (4, 11), (5, 11), (6, 11),
-        (8, 11), (9, 11), (10, 11), (2, 12), (7, 12), (1, 13), (3, 13),
-        (4, 13), (5, 13), (6, 13), (8, 13), (9, 13), (10, 13), (11, 13),
-        (1, 14), (3, 14), (4, 14), (5, 14), (6, 14), (8, 14), (9, 14),
-        (10, 14), (11, 14), (13, 14), (1, 15), (3, 15), (4, 15), (5, 15),
-        (6, 15), (8, 15), (9, 15), (10, 15), (11, 15), (13, 15), (14, 15),
-        (1, 16), (3, 16), (4, 16), (5, 16), (6, 16), (8, 16), (9, 16),
-        (10, 16), (11, 16), (13, 16), (14, 16), (15, 16), (2, 17), (7, 17),
-        (12, 17), (2, 18), (7, 18), (12, 18), (17, 18), (1, 20), (3, 20),
-        (4, 20), (5, 20), (6, 20), (8, 20), (9, 20), (10, 20), (11, 20),
-        (13, 20), (14, 20), (15, 20), (16, 20), (1, 21), (3, 21), (4, 21),
-        (5, 21), (6, 21), (8, 21), (9, 21), (10, 21), (11, 21), (13, 21),
-        (14, 21), (15, 21), (16, 21), (20, 21), (2, 22), (7, 22), (12, 22),
-        (17, 22), (18, 22), (2, 23), (7, 23), (12, 23), (17, 23), (18, 23),
-        (22, 23), (19, 24), (1, 25), (3, 25), (4, 25), (5, 25), (6, 25),
-        (8, 25), (9, 25), (10, 25), (11, 25), (13, 25), (14, 25), (15, 25),
-        (16, 25), (20, 25), (21, 25), (1, 26), (3, 26), (4, 26), (5, 26),
-        (6, 26), (8, 26), (9, 26), (10, 26), (11, 26), (13, 26), (14, 26),
-        (15, 26), (16, 26), (20, 26), (21, 26), (25, 26), (2, 27), (7, 27),
-        (12, 27), (17, 27), (18, 27), (22, 27), (23, 27), (2, 28), (7, 28),
-        (12, 28), (17, 28), (18, 28), (22, 28), (23, 28), (27, 28), (19, 29),
-        (24, 29)], [
+        lambda: doubling(build_sts(15, seed=1))[0], (0,), 35, [
+        (2, 7), (3, 8), (5, 10), (6, 11), (2, 12), (7, 12), (4, 14), (1, 16),
+        (6, 21), (11, 21), (15, 25), (1, 26), (16, 26), (19, 29)], [
     ]),
     "bose21": (lambda: bose(21), (), 156, [
         (0, 1), (0, 2), (0, 7)], [
@@ -599,9 +574,8 @@ MAP_SEARCH_PINS = {
         [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0, 1, 2, 3, 4, 5,
          6],
     ]),
-    "bose21_stab": (lambda: bose(21), (0,), 212, [
-        (1, 2), (1, 3), (1, 7), (1, 8), (7, 8), (1, 14), (7, 14), (8, 14),
-        (1, 15), (7, 15), (8, 15), (14, 15)], [
+    "bose21_stab": (lambda: bose(21), (0,), 22, [
+        (1, 2), (1, 3), (7, 14), (8, 15)], [
         [0, 2, 4, 6, 1, 3, 5, 7, 9, 11, 13, 8, 10, 12, 14, 16, 18, 20, 15, 17,
          19],
         [0, 3, 6, 2, 5, 1, 4, 7, 10, 13, 9, 12, 8, 11, 14, 17, 20, 16, 19, 15,
@@ -626,19 +600,40 @@ class TestOrbits:
         assert len(set(orbit)) == stabiliser and orbit.count(0) == 1
         assert all(orbit[p] <= p for p in range(d.v))
 
+    # build_sts(v, 1) at the orders v = 1 mod 6 from 19 to 37: the map
+    # questions its root and stabiliser orbits ask.  Each one fails.
+    TRIVIAL_QUESTIONS = {19: (7, 2), 25: (2, 0), 31: (13, 4), 37: (5, 2)}
+
     @pytest.mark.parametrize("v", [19, 25, 31, 37])
-    def test_trivial_group(self, v):
-        # Points that share a class (dozens of map questions on each of
-        # these) stay apart only because every such question fails.
+    def test_trivial_group(self, v, monkeypatch):
+        # Points left in one class by the Pasch invariant stay apart only
+        # because every map question between them fails.
+        asked = []
+        found = search._automorphism
+
+        def record(*args):
+            g = found(*args)
+            asked.append(g)
+            return g
+
+        monkeypatch.setattr(search, "_automorphism", record)
         d = build_sts(v, seed=1)
-        assert _orbits(d) == _orbits(d, (0,)) == list(range(v))
+        questions = []
+        for fixed in (), (0,):
+            asked.clear()
+            assert _orbits(d, fixed) == list(range(v))
+            assert asked == [None] * len(asked)
+            questions.append(len(asked))
+        assert tuple(questions) == self.TRIVIAL_QUESTIONS[v]
 
     @pytest.mark.parametrize("fixed", [(), (0,)], ids=["root", "stabiliser"])
     def test_questions_pair_points_on_as_many_blocks(self, fixed, monkeypatch):
-        # The invariant counts each point's blocks: no map question pairs
-        # points on different numbers of blocks, which no automorphism
-        # maps to each other.  Without that count, the Pasch count alone
-        # lets such questions through on these block subsets of bose(15).
+        # A point's class lists the Pasch counts of its blocks, so its
+        # length is the point's block count: no map question pairs points
+        # on different numbers of blocks, which no automorphism maps to
+        # each other.  bose(15) has no Pasch configuration, so on these
+        # block subsets every count is 0 and the length alone tells them
+        # apart.
         subsets = [d for name, d in SOUNDNESS_DESIGNS
                    if name.startswith("bose15_subset")]
         assert len(subsets) == 6
@@ -673,6 +668,36 @@ class TestOrbits:
             copy, perm = _permuted(d, seed)
             assert _classes(_orbits(copy)) == whole
             assert _classes(_orbits(copy, (perm[0],))) == stab
+
+    @pytest.mark.parametrize("fixed", [(), (0,)], ids=["root", "stabiliser"])
+    @pytest.mark.parametrize("make", [
+        lambda: bose(21),
+        lambda: build_sts(19, seed=1),
+        lambda: build_sts(31, seed=1),
+        lambda: doubling(build_sts(15, seed=1))[0],
+    ], ids=["bose21", "sts19", "sts31", "doubling15"])
+    def test_classes_follow_a_relabelling(self, make, fixed, monkeypatch):
+        # The classes are an invariant: in a relabelled copy, with the
+        # image of each fixed point fixed, perm[p] is in the class of p, up
+        # to the names of the classes.  A class that mixed in the point
+        # label would break this.
+        classes = []
+        found = search._automorphism
+
+        def record(third, cls, *rest):
+            classes.append(cls)
+            return found(third, cls, *rest)
+
+        monkeypatch.setattr(search, "_automorphism", record)
+        d = make()
+        copy, perm = _permuted(d, 7)
+        _orbits(d, fixed)
+        before = classes[-1]
+        classes.clear()
+        _orbits(copy, tuple(perm[f] for f in fixed))
+        after = classes[-1]
+        named = {(before[p], after[perm[p]]) for p in range(d.v)}
+        assert len(named) == len(set(before)) == len(set(after))
 
     @pytest.mark.parametrize("make,fixed", [
         (lambda: bose(15), ()),
@@ -715,7 +740,7 @@ class TestOrbits:
     def test_map_search_is_pinned(self, name, monkeypatch):
         # The same questions, maps and steps, from groups that merge every
         # point (bose21: 3 questions, each a map) to a stabiliser with no
-        # map at all (doubling15_stab: 175 questions, each refuted).
+        # map at all (doubling15_stab: 14 questions, each refuted).
         make, fixed, steps, questions, maps = MAP_SEARCH_PINS[name]
         asked, found, left = [], [], []
         automorphism = search._automorphism
@@ -819,6 +844,41 @@ def _soundness_designs():
 
 
 SOUNDNESS_DESIGNS = _soundness_designs()
+
+
+def _pasch_brute_force(d):
+    """Per block, the 4-block sets that hold it and form a Pasch
+    configuration: every two of the four blocks meet in one point, and
+    the four cover six points, so no point lies on three.  Every 4-set is
+    reached through its pairwise meetings, so none is missed."""
+    meets = [{j for j, other in enumerate(d.block_mask)
+              if j != i and (mask & other).bit_count() == 1}
+             for i, mask in enumerate(d.block_mask)]
+    counts = [0] * d.b
+    for i in range(d.b):
+        for j in (j for j in meets[i] if j > i):
+            for k in (k for k in meets[i] & meets[j] if k > j):
+                for m in (m for m in meets[i] & meets[j] & meets[k] if m > k):
+                    quad = (i, j, k, m)
+                    union = 0
+                    for x in quad:
+                        union |= d.block_mask[x]
+                    if union.bit_count() == 6:
+                        for x in quad:
+                            counts[x] += 1
+    return counts
+
+
+@pytest.mark.parametrize("d", [d for _, d in SOUNDNESS_DESIGNS],
+                         ids=[name for name, _ in SOUNDNESS_DESIGNS])
+def test_pasch_table(d):
+    # The table matches the count over all 4-block sets, and a relabelled
+    # copy carries each block's count to the block's image.
+    assert list(d.pasch) == _pasch_brute_force(d)
+    copy, perm = _permuted(d, 5)
+    index = {blk: i for i, blk in enumerate(copy.blocks)}
+    for blk, n in zip(d.blocks, d.pasch):
+        assert copy.pasch[index[tuple(sorted(perm[p] for p in blk))]] == n
 
 
 @pytest.mark.parametrize("d", [d for _, d in SOUNDNESS_DESIGNS],
