@@ -7,8 +7,11 @@ exact at the orders where 24v+25 is a perfect square.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
+
+from .design import check_order
 
 
 def _check_admissible(v: int) -> None:
@@ -42,11 +45,13 @@ def nonincidence_upper_bound(v: int) -> int:
 
 # Family key: (u as a function of z, sign in t = 6u +/- 1).
 # Families 1,2 have t = 6u+1 with u = 12z+1, 12z+5; families 3,4 have
-# t = 6u-1 with u = 12z+4, 12z+8.
+# t = 6u-1 with u = 12z+4, 12z+8.  In the order below, t is 72z + 7, 23,
+# 31 and 47, all below the next z's 72z + 79, and v grows with t: so the
+# records made z by z, family by family, come in v order.
 _FAMILIES = {
     1: (1, +1),
-    2: (5, +1),
     3: (4, -1),
+    2: (5, +1),
     4: (8, -1),
 }
 
@@ -83,15 +88,17 @@ def _record(family: int, z: int) -> EqualityFamilyRecord:
     return rec
 
 
-def enumerate_equality_orders(z_max: int) -> list[EqualityFamilyRecord]:
-    """All equality-family records for z = 0..z_max, sorted by v."""
+def iter_equality_orders(z_max: int) -> Iterator[EqualityFamilyRecord]:
+    """The equality-family records for z = 0..z_max in v order, each made
+    as it is asked for (see _FAMILIES for the order)."""
     if z_max < 0:
         raise ValueError("z_max must be non-negative")
-    out = [
-        _record(fam, z) for z in range(z_max + 1) for fam in sorted(_FAMILIES)
-    ]
-    out.sort(key=lambda r: r.v)
-    return out
+    return (_record(fam, z) for z in range(z_max + 1) for fam in _FAMILIES)
+
+
+def enumerate_equality_orders(z_max: int) -> list[EqualityFamilyRecord]:
+    """All equality-family records for z = 0..z_max, sorted by v."""
+    return list(iter_equality_orders(z_max))
 
 
 def classify_equality_order(v: int) -> EqualityFamilyRecord | None:
@@ -137,7 +144,10 @@ class CurveData:
 
 
 def intersection_curve_data(v: int) -> CurveData:
+    """The curve of order v: v + 1 rows, so an order above MAX_ORDER is
+    refused (DesignError, a ValueError) before any row is made."""
     _check_admissible(v)
+    check_order(v)
     rows = tuple(
         (s, disjoint_block_bound(v, s), s) for s in range(v + 1)
     )

@@ -7,10 +7,14 @@ cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
 inadmissible order, --sub 1 or --double-from 1, whose sub-design has no
 block to certify, a search --out that names its --design file, which the
 report would overwrite, a construct certificate path <stem>.cert.json
-that names its --out file, which the certificate would overwrite, and a
+that names its --out file, which the certificate would overwrite, a
 construct order above MAX_ORDER (100,000) that no budget refusal stops
-first.  A design file whose order is above MAX_ORDER cannot be read:
+first, and a bound --curve order above MAX_ORDER, whose v + 1 rows are
+refused before any is made; bound without --curve is one number at any
+order.  A design file whose order is above MAX_ORDER cannot be read:
 search and verify exit 1 before they allocate anything for it.
+families --zmax prints each record as it is made, so it never holds the
+whole list.
 """
 
 from __future__ import annotations
@@ -148,11 +152,12 @@ def cmd_construct(args) -> int:
 def cmd_bound(args) -> int:
     try:
         s = bnd.nonincidence_upper_bound(args.order)
+        curve = bnd.intersection_curve_data(args.order) if args.curve else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.curve:
-        sys.stdout.write(bnd.intersection_curve_data(args.order).to_csv())
+    if curve is not None:
+        sys.stdout.write(curve.to_csv())
     else:
         print(s)
     return EXIT_OK
@@ -166,7 +171,7 @@ def cmd_families(args) -> int:
         else:
             print(json.dumps(asdict(rec), sort_keys=True))
         return EXIT_OK
-    for rec in bnd.enumerate_equality_orders(args.zmax):
+    for rec in bnd.iter_equality_orders(args.zmax):
         print(json.dumps(asdict(rec), sort_keys=True))
     return EXIT_OK
 

@@ -230,13 +230,16 @@ def _orbits(d: Design, fixed=()) -> list[int]:
     of d that fix every point of fixed, as far as _ORBIT_STEPS allows.
 
     Points are first split by an invariant, read from the design's Pasch
-    table (Design.pasch, built once per design): a point's class is the
-    sorted list of the Pasch counts of its blocks, so points on different
-    numbers of blocks never share one.  Each point of fixed is put in a
-    class of its own, and for each such f every other point q is told
-    apart further by the Pasch configurations through f that hold q, an
-    O(r^2) pass over the pairs of f's r blocks: an automorphism that fixes
-    f keeps that count.  The orbits found so far are one list, orbit, with
+    table (Design.pasch, built once per design): a point's root class is
+    the sorted list of the Pasch counts of its blocks, so points on
+    different numbers of blocks never share one.  Each point f of fixed
+    then splits the classes further.  A point q on a block with f is keyed
+    by its class, the Pasch count of that block and the root class of the
+    block's third point third[f][q]: an automorphism that fixes f and
+    sends q to q' sends that block to the block through f and q', so it
+    keeps all three.  f itself gets a key of its own, and a point on no
+    block with f keeps its class.  ids numbers every key seen, so each
+    class is one int.  The orbits found so far are one list, orbit, with
     orbit[p] the least point of p's orbit.  Each point b that is still the
     least of its orbit is tested by _automorphism against each earlier
     such point r of its class.  A map g found merges each p with g[p]: of
@@ -245,29 +248,19 @@ def _orbits(d: Design, fixed=()) -> list[int]:
     exactly the orbits; with it, an orbit may stay split, never joined to
     another.
     """
-    v, third, pasch = d.v, d.third, d.pasch
+    v, third, pasch, inc = d.v, d.third, d.pasch, d.point_incidence
     counts = [[] for _ in range(v)]
     for i, blk in enumerate(d.blocks):
         for p in blk:
             counts[p].append(pasch[i])
-    keys = [tuple(sorted(c)) for c in counts]
-    for f in fixed:
-        # A Pasch configuration through f: blocks {f, b, c} and {f, x, y}
-        # with {b, x, z} and {c, y, z}, or with x and y swapped.
-        pairs = [(b, c) for b, c in enumerate(third[f]) if b < c]
-        through = [0] * v
-        for i, (b, c) in enumerate(pairs):
-            rb, rc = third[b], third[c]
-            for x, y in pairs[:i]:
-                for z, w in (rb[x], rc[y]), (rb[y], rc[x]):
-                    if z >= 0 and z == w:
-                        for p in b, c, x, y, z:
-                            through[p] += 1
-        keys = list(zip(keys, through))
     ids = {}
-    cls = [ids.setdefault(k, len(ids)) for k in keys]
-    for i, f in enumerate(fixed):
-        cls[f] = -1 - i
+    root = cls = [ids.setdefault(tuple(sorted(c)), len(ids)) for c in counts]
+    for f in fixed:
+        row = third[f]
+        keys = [(k, q == f) if row[q] < 0 else
+                (k, pasch[(inc[f] & inc[q]).bit_length() - 1], root[row[q]])
+                for q, k in enumerate(cls)]
+        cls = [ids.setdefault(k, len(ids)) for k in keys]
     orbit = list(range(v))
     steps = [_ORBIT_STEPS]
     for b in range(v):

@@ -83,6 +83,13 @@ class TestEqualityFamilies:
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_equality_orders(-1)
 
+    def test_made_in_v_order(self):
+        # Records come z by z, families 1, 3, 2, 4, with no sort: v must
+        # rise at every step, across each change of z too.
+        vs = [r.v for r in enumerate_equality_orders(2_000)]
+        assert len(vs) == 4 * 2_001
+        assert all(a < b for a, b in zip(vs, vs[1:]))
+
     def test_z1_family1(self):
         recs = {(r.family, r.z): r for r in enumerate_equality_orders(1)}
         r = recs[(1, 1)]

@@ -16,6 +16,8 @@ from nonincidence import (
     DesignError,
     NonincidenceCertificate,
     cli,
+    intersection_curve_data,
+    nonincidence_upper_bound,
 )
 from nonincidence.cli import (
     EXIT_BUDGET,
@@ -742,18 +744,26 @@ class TestHostileInput:
 CHILD_ADDRESS_SPACE = 512 * 2**20
 
 
-def _run_capped(*argv):
-    """Run the CLI with argv in a child process whose address space alone
-    is capped at CHILD_ADDRESS_SPACE; return the completed process."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS,
-                           (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
+
+def _capped_child(argv):
+    """The argument list and keywords that run the CLI with argv in a
+    child process whose address space alone is capped at
+    CHILD_ADDRESS_SPACE."""
     src = str(Path(nonincidence.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-m", "nonincidence.cli", *argv], env=env,
-        capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    return ([sys.executable, "-m", "nonincidence.cli", *argv],
+            dict(env=dict(os.environ, PYTHONPATH=src), text=True,
+                 preexec_fn=_cap_address_space))
+
+
+def _run_capped(*argv):
+    """Run the CLI with argv in a capped child (_capped_child); return the
+    completed process."""
+    args, kwargs = _capped_child(argv)
+    return subprocess.run(args, capture_output=True, timeout=120, **kwargs)
 
 
 class TestOrderLimit:
@@ -783,6 +793,36 @@ class TestOrderLimit:
         assert proc.stderr == (f"error: order {flags[1]} is above the limit "
                                f"of {MAX_ORDER}\n")
         assert not any(tmp_path.iterdir())
+
+    def test_curve(self):
+        # The curve has v + 1 rows, so its order is limited as a design's
+        # is; the bound alone is one number at any order.
+        order = "1000000003"
+        proc = _run_capped("bound", "--order", order, "--curve")
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: order {order} is above the limit "
+                               f"of {MAX_ORDER}\n")
+        proc = _run_capped("bound", "--order", order)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert int(proc.stdout) == nonincidence_upper_bound(int(order))
+        with pytest.raises(DesignError, match="above the limit"):
+            intersection_curve_data(int(order))
+
+    def test_families_print_as_they_are_made(self):
+        # A list of every record up to this z does not fit in the child,
+        # so the first records arrive only if each is printed as made.
+        args, kwargs = _capped_child(("families", "--zmax", "100000000"))
+        child = subprocess.Popen(args, stdout=subprocess.PIPE,
+                                 stderr=subprocess.DEVNULL, **kwargs)
+        try:
+            first = [json.loads(child.stdout.readline())["v"]
+                     for _ in range(3)]
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert first == [1, 21, 39]
 
     @pytest.mark.parametrize("command", ["search", "verify"])
     def test_design_file(self, tmp_path, command):
