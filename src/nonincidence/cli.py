@@ -2,19 +2,21 @@
 
 Exit codes: 0 success, 1 verification/validation failure or a file that
 cannot be read or written, 2 usage error, 3 retryable budget exhaustion,
-4 certificate digest mismatch.  Usage errors include a negative --budget,
---seed or --zmax, construct given both --sub and --double-from, an
-inadmissible order, --sub 1 or --double-from 1, whose sub-design has no
-block to certify, a search --out that names its --design file, which the
-report would overwrite, a construct certificate path <stem>.cert.json
-that names its --out file, which the certificate would overwrite, a
-construct order above MAX_ORDER (100,000) that no budget refusal stops
-first, and a bound --curve order above MAX_ORDER, whose v + 1 rows are
-refused before any is made; bound without --curve is one number at any
-order.  A design file whose order is above MAX_ORDER cannot be read:
-search and verify exit 1 before they allocate anything for it.
-families --zmax prints each record as it is made, so it never holds the
-whole list.
+4 certificate digest mismatch.  A stdout whose reader has closed it, as
+`families --zmax N | head -2` does, is a file that cannot be written:
+the command stops at once with exit 1 and no message.  Usage errors
+include a negative --budget, --seed or --zmax, construct given both
+--sub and --double-from, an inadmissible order, --sub 1 or --double-from
+1, whose sub-design has no block to certify, a search --out that names
+its --design file, which the report would overwrite, a construct
+certificate path <stem>.cert.json that names its --out file, which the
+certificate would overwrite, a construct order above MAX_ORDER (100,000)
+that no budget refusal stops first, and a bound --curve order above
+MAX_ORDER, whose v + 1 rows are refused before any is made; bound
+without --curve is one number at any order.  A design file whose order is
+above MAX_ORDER cannot be read: search and verify exit 1 before they
+allocate anything for it.  families --zmax prints each record as it is
+made, so it never holds the whole list.
 """
 
 from __future__ import annotations
@@ -321,7 +323,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit,
+        # so stdout is pointed at devnull to keep that flush from failing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .design import (
     Design,
@@ -119,10 +120,21 @@ def _hill_climb(
     are never evicted.  Las Vegas: returns (blocks, moves, evictions) or
     raises; moves counts every point drawn, evictions every block removed.
 
-    ``unc[x]`` is x's uncovered partners in ascending order, kept up to
-    date by each insertion and eviction: the list a scan of x's row for
-    uncovered pairs would build.  No pair is covered twice, so x has full
-    degree exactly when ``unc[x]`` is empty.
+    fixed_blocks is a partial STS(v) that lacks at least one block, as
+    embed_subsystem's v >= 2w + 1 ensures.
+
+    The state is two structures.  ``unc[x]`` is x's uncovered partners in
+    ascending order, kept up to date by each insertion and eviction: the
+    list a scan of x's row for uncovered pairs would build.  No pair is
+    covered twice, so x has full degree exactly when ``unc[x]`` is empty.
+    ``third[y][z]`` is one v x v table of third points: -1 for an
+    uncovered pair, -2 - c for a pair of the fixed block {y, z, c}, which
+    is never evicted (a move that draws it still counts and changes
+    nothing), and otherwise the third point of the climbed block through
+    y and z.  An eviction frees only the pairs through the evicted
+    block's third point, since the new block covers the drawn pair again.
+    The finished blocks are read off the table row by row, so they come
+    out in lexicographic order.
 
     Every draw is rejection sampling on ``rng.getrandbits``: the point x
     takes k = v.bit_length() bits until a value below v comes up, which is
@@ -137,59 +149,29 @@ def _hill_climb(
 
     A move adds at most one block, so a climb that needs more than
     move_budget new blocks cannot finish: it raises at once, before it
-    draws or allocates its v x v tables.  Past that test, an order above
-    MAX_ORDER raises DesignError, also before anything is allocated.
+    draws or allocates its table.  Past that test, an order above
+    MAX_ORDER raises DesignError, also before anything is allocated.  The
+    moves are then one loop over range(1, move_budget + 1), which breaks
+    when no block is missing; a loop that runs out raises BudgetExhausted.
     """
-    target = v * (v - 1) // 6
+    missing = v * (v - 1) // 6 - len(fixed_blocks)
     out_of_moves = BudgetExhausted(
         f"no STS({v}) completion within {move_budget} moves")
-    if target - len(fixed_blocks) > move_budget:
+    if missing > move_budget:
         raise out_of_moves
     check_order(v)
-    cover: list[list[tuple[int, int, int] | None]] = [[None] * v for _ in range(v)]
+    third = [[-1] * v for _ in range(v)]
     points = list(range(v))
     unc = [points[:x] + points[x + 1:] for x in points]
-    fixed = set(fixed_blocks)
-    blocks = set()
-
-    def add(blk):
-        blocks.add(blk)
-        a, b, c = blk
-        cover[a][b] = cover[b][a] = blk
-        cover[a][c] = cover[c][a] = blk
-        cover[b][c] = cover[c][b] = blk
-        ua, ub, uc = unc[a], unc[b], unc[c]
-        ua.remove(b)
-        ua.remove(c)
-        ub.remove(a)
-        ub.remove(c)
-        uc.remove(a)
-        uc.remove(b)
-
-    def remove(blk):
-        blocks.discard(blk)
-        a, b, c = blk
-        cover[a][b] = cover[b][a] = None
-        cover[a][c] = cover[c][a] = None
-        cover[b][c] = cover[c][b] = None
-        ua, ub, uc = unc[a], unc[b], unc[c]
-        insort(ua, b)
-        insort(ua, c)
-        insort(ub, a)
-        insort(ub, c)
-        insort(uc, a)
-        insort(uc, b)
-
     for blk in fixed_blocks:
-        add(blk)
+        for p, q, r in permutations(blk):
+            third[p][q] = -2 - r
+            unc[p].remove(q)
 
     getrandbits = rng.getrandbits
     kv = v.bit_length()
-    moves = evictions = 0
-    while len(blocks) < target:
-        moves += 1
-        if moves > move_budget:
-            raise out_of_moves
+    evictions = 0
+    for moves in range(1, move_budget + 1):
         x = getrandbits(kv)
         while x >= v:
             x = getrandbits(kv)
@@ -214,14 +196,44 @@ def _hill_climb(
             while j >= n or j == i:
                 j = getrandbits(k)
             z = partners[j]
-        displaced = cover[y][z]
-        if displaced is not None:
-            if displaced in fixed:
-                continue
-            remove(displaced)
+        ty = third[y]
+        c = ty[z]
+        if c < -1:
+            continue
+        tz, uy, uz = third[z], unc[y], unc[z]
+        if c < 0:
+            missing -= 1
+            uy.remove(z)
+            uz.remove(y)
+        else:
+            # Evict {y, z, c}.
+            tc, uc = third[c], unc[c]
+            ty[c] = tz[c] = tc[y] = tc[z] = -1
+            insort(uy, c)
+            insort(uz, c)
+            insort(uc, y)
+            insort(uc, z)
             evictions += 1
-        add(tuple(sorted((x, y, z))))
-    return sorted(blocks), moves, evictions
+        third[x][y] = ty[x] = z
+        third[x][z] = tz[x] = y
+        ty[z] = tz[y] = x
+        partners.remove(y)
+        partners.remove(z)
+        uy.remove(x)
+        uz.remove(x)
+        if not missing:
+            break
+    else:
+        raise out_of_moves
+    blocks = []
+    for a, row in enumerate(third):
+        for b in range(a + 1, v):
+            c = row[b]
+            if c < 0:
+                c = -2 - c
+            if c > b:
+                blocks.append((a, b, c))
+    return blocks, moves, evictions
 
 
 def embed_subsystem(

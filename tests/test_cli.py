@@ -845,6 +845,50 @@ class TestOrderLimit:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early is a file that cannot be written:
+    the command stops with exit 1 and prints nothing to stderr, neither a
+    traceback nor the interpreter's note that its flush at exit failed."""
+
+    def _wait(self, child, err):
+        try:
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        err.seek(0)
+        return code, err.read()
+
+    def test_families_after_two_records(self, tmp_path):
+        args, kwargs = _capped_child(("families", "--zmax", "100000000"))
+        with open(tmp_path / "err", "w+") as err:
+            child = subprocess.Popen(args, stdout=subprocess.PIPE,
+                                     stderr=err, **kwargs)
+            with child.stdout:
+                first = [json.loads(child.stdout.readline())["v"]
+                         for _ in range(2)]
+            code, text = self._wait(child, err)
+        assert first == [1, 21]
+        assert code == EXIT_FAIL
+        assert text == ""
+
+    def test_curve_with_no_reader(self, tmp_path):
+        # The curve is one write, which a pipe may take whole before its
+        # reader gets to close it, so here the reader is gone from the
+        # start.
+        args, kwargs = _capped_child(("bound", "--order", "99999", "--curve"))
+        r, w = os.pipe()
+        os.close(r)
+        with open(tmp_path / "err", "w+") as err:
+            try:
+                child = subprocess.Popen(args, stdout=w, stderr=err, **kwargs)
+            finally:
+                os.close(w)
+            code, text = self._wait(child, err)
+        assert code == EXIT_FAIL
+        assert text == ""
+
+
 def test_construct_search_verify_round_trip(tmp_path):
     design = tmp_path / "d.json"
     report = tmp_path / "rep.json"

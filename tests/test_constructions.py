@@ -203,6 +203,32 @@ def _generator(state, cls=random.Random):
     return rng
 
 
+def _climbs_agree(w, v, seed, move_budget):
+    """Run the climb and the reference from embed_subsystem's inputs and
+    check that they agree: the same blocks, moves and evictions, or the
+    same BudgetExhausted, and the same generator state after either.
+    Returns (blocks, moves, evictions)."""
+    sub, state = _climb_inputs(w, v, seed)
+    ref_rng = _generator(state, CountingRandom)
+    rng = _generator(state)
+    try:
+        ref = reference_hill_climb(v, sub, ref_rng, move_budget)
+    except BudgetExhausted:
+        with pytest.raises(BudgetExhausted):
+            _hill_climb(v, sub, rng, move_budget)
+        assert rng.getstate() == ref_rng.getstate()
+        raise
+    blocks, moves, evictions = _hill_climb(v, sub, rng, move_budget)
+    assert blocks == ref
+    assert rng.getstate() == ref_rng.getstate()
+    # Each block inserted beyond the v(v-1)/6 - |fixed| the climb ends
+    # with replaced an evicted one.
+    drawn, added = climb_counts(ref_rng, sub)
+    assert moves == drawn >= added
+    assert evictions == added - (v * (v - 1) // 6 - len(sub))
+    return blocks, moves, evictions
+
+
 class TestHillClimbReference:
     """The climb gives the reference's blocks, draws and move counts.
 
@@ -218,21 +244,25 @@ class TestHillClimbReference:
     ])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference(self, w, v, seed):
-        sub, state = _climb_inputs(w, v, seed)
-        ref_rng = _generator(state, CountingRandom)
-        ref = reference_hill_climb(v, sub, ref_rng, DEFAULT_MOVE_BUDGET)
-        rng = _generator(state)
-        blocks, moves, evictions = _hill_climb(v, sub, rng, DEFAULT_MOVE_BUDGET)
-        assert blocks == ref
-        assert rng.getstate() == ref_rng.getstate()
-        # Each block inserted beyond the v(v-1)/6 - |fixed| the climb ends
-        # with replaced an evicted one.
-        drawn, added = climb_counts(ref_rng, sub)
-        assert moves == drawn >= added
-        assert evictions == added - (v * (v - 1) // 6 - len(sub))
+        blocks, moves, evictions = _climbs_agree(w, v, seed,
+                                                 DEFAULT_MOVE_BUDGET)
         emb = embed_subsystem(w, v, seed)
-        assert emb.design.blocks == tuple(ref)
+        assert emb.design.blocks == tuple(blocks)
         assert (emb.meta["moves"], emb.meta["evictions"]) == (moves, evictions)
+
+    # The seeds of 0-7 whose climb stalls within 20,000 moves.  Near
+    # v = 2w + 1 most draws then land on a pair of the frozen sub-design,
+    # so these climbs test that a fixed block is never evicted.
+    STALLED = {(15, 33): {1, 2}, (21, 49): {1, 4, 5}}
+
+    @pytest.mark.parametrize("w,v", list(STALLED))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stalled_climbs_match_reference(self, w, v, seed):
+        if seed in self.STALLED[w, v]:
+            with pytest.raises(BudgetExhausted):
+                _climbs_agree(w, v, seed, 20_000)
+        else:
+            _climbs_agree(w, v, seed, 20_000)
 
     def test_budget_boundary_matches_reference(self):
         # Of seeds 0-199, embed(13, 39) at seed 149 needs the most moves.
