@@ -14,9 +14,11 @@ from math import isqrt
 from .design import check_order
 
 
-def _check_admissible(v: int) -> None:
+def check_admissible(v: int) -> None:
+    """Raise ValueError unless some STS(v) exists: v >= 1, 1 or 3 mod 6."""
     if v < 1 or v % 6 not in (1, 3):
-        raise ValueError(f"order {v} is not a positive integer 1 or 3 mod 6")
+        raise ValueError(
+            f"order {v} is inadmissible: an STS needs v >= 1, 1 or 3 mod 6")
 
 
 def disjoint_block_bound(v: int, s: int) -> int:
@@ -27,7 +29,7 @@ def disjoint_block_bound(v: int, s: int) -> int:
     on two blocks.  The product is never negative for 0 <= s <= v, but
     not always divisible by 6 (e.g. v=9, s=1), so the result is floored.
     """
-    _check_admissible(v)
+    check_admissible(v)
     if not 0 <= s <= v:
         raise ValueError(f"point-set size {s} outside 0..{v}")
     return (v - s) * (v - s - 1) // 6
@@ -39,30 +41,34 @@ def nonincidence_upper_bound(v: int) -> int:
     This is floor((2v+5 - sqrt(24v+25)) / 2): the largest s with
     2v+5-2s >= ceil(sqrt(24v+25)) = isqrt(24v+24) + 1.
     """
-    _check_admissible(v)
+    check_admissible(v)
     return (2 * v + 4 - isqrt(24 * v + 24)) // 2
 
 
-# Family key: (u as a function of z, sign in t = 6u +/- 1).
-# Families 1,2 have t = 6u+1 with u = 12z+1, 12z+5; families 3,4 have
-# t = 6u-1 with u = 12z+4, 12z+8.  In the order below, t is 72z + 7, 23,
-# 31 and 47, all below the next z's 72z + 79, and v grows with t: so the
-# records made z by z, family by family, come in v order.
-_FAMILIES = {
-    1: (1, +1),
-    3: (4, -1),
-    2: (5, +1),
-    4: (8, -1),
-}
+# Equality orders: t mod 72 -> family, where t = sqrt(24v+25).  When
+# 24v+25 = t^2, t is prime to 6, so t = 6u+1 or t = 6u-1, and
+# w = (t-5)/2, the order of the subsystem left by s = v - w, gives
+#   t = 6u+1: w = 3u-2, v = (3u-2)(u+1)/2;
+#   t = 6u-1: w = 3u-3, v = (3u+2)(u-1)/2.
+# Both v and w are admissible orders (1 or 3 mod 6) exactly when
+# u = 1, 5 (mod 12) for the first sign and u = 4, 8 (mod 12) for the
+# second, that is t = 7, 31 and t = 23, 47 (mod 72); there v >= 2w+1, or
+# v = w = 1.  The keys are in t order, all below the next z's 72z + 79,
+# and v grows with t: so the records made z by z, key by key, come in
+# v order.  The family numbers go by sign, then u: families 1 and 2 are
+# u = 12z+1 and 12z+5 with t = 6u+1, families 3 and 4 are u = 12z+4 and
+# 12z+8 with t = 6u-1.
+_FAMILIES = {7: 1, 23: 3, 31: 2, 47: 4}
 
 
 @dataclass(frozen=True)
 class EqualityFamilyRecord:
     """An order v where the upper bound is attained, with its parameters.
 
-    w = v - s is the order of the subsystem whose complement realizes the
-    bound; t is the exact square root of 24v+25 and u relates to it by
-    t = 6u+1 (families 1, 2) or t = 6u-1 (families 3, 4).
+    t is the exact square root of 24v+25, and t = 7, 23, 31 or 47
+    (mod 72) picks the family; z = t // 72.  w = (t-5)/2 = v - s is the
+    order of the subsystem whose complement realizes the bound, and u
+    relates to t by t = 6u+1 (families 1, 2) or t = 6u-1 (families 3, 4).
     """
 
     family: int
@@ -74,13 +80,11 @@ class EqualityFamilyRecord:
     u: int
 
 
-def _record(family: int, z: int) -> EqualityFamilyRecord:
-    base, sign = _FAMILIES[family]
-    u = 12 * z + base
-    t = 6 * u + sign
+def _record(t: int) -> EqualityFamilyRecord:
     v = (t * t - 25) // 24
-    s = v - (t - 5) // 2
-    rec = EqualityFamilyRecord(family=family, z=z, v=v, s=s, w=v - s, t=t, u=u)
+    w = (t - 5) // 2
+    rec = EqualityFamilyRecord(family=_FAMILIES[t % 72], z=t // 72, v=v,
+                               s=v - w, w=w, t=t, u=(t + 3) // 6)
     # Internal consistency; cheap enough to keep on.
     assert 24 * rec.v + 25 == t * t
     assert rec.v % 6 in (1, 3) and rec.w % 6 in (1, 3)
@@ -93,37 +97,23 @@ def iter_equality_orders(z_max: int) -> Iterator[EqualityFamilyRecord]:
     as it is asked for (see _FAMILIES for the order)."""
     if z_max < 0:
         raise ValueError("z_max must be non-negative")
-    return (_record(fam, z) for z in range(z_max + 1) for fam in _FAMILIES)
-
-
-def enumerate_equality_orders(z_max: int) -> list[EqualityFamilyRecord]:
-    """All equality-family records for z = 0..z_max, sorted by v."""
-    return list(iter_equality_orders(z_max))
+    return (_record(72 * z + r) for z in range(z_max + 1) for r in _FAMILIES)
 
 
 def classify_equality_order(v: int) -> EqualityFamilyRecord | None:
     """The family record for v, or None when equality is impossible there.
 
-    Inverts _record.  When 24v+25 = t^2, t is prime to 6, so t = 6u+1 or
-    t = 6u-1.  Then s = v - (t-5)/2 and w = v - s = (t-5)/2 give
-    t = 6u+1: w = 3u-2, v = (3u-2)(u+1)/2;
-    t = 6u-1: w = 3u-3, v = (3u+2)(u-1)/2.
-    Both v and w are admissible orders (1 or 3 mod 6) exactly when
-    u = 1, 5 (mod 12) for the first sign and u = 4, 8 (mod 12) for the
-    second, the four keys of _FAMILIES; at those residues v >= 2w+1, or
-    v = w = 1.  So the lookup below misses exactly where equality is
-    impossible, and _record's assertions restate the conditions.
+    Equality needs 24v+25 = t^2, v and w = v - s = (t-5)/2 admissible
+    orders, and room for a sub-STS(w) in an STS(v); by the derivation at
+    _FAMILIES that is exactly t = 7, 23, 31 or 47 (mod 72), and
+    _record's assertions restate the conditions.
     """
-    if v < 1 or v % 6 not in (1, 3):
+    if v < 1:
         return None
     t = isqrt(24 * v + 25)
-    if t * t != 24 * v + 25:
+    if t * t != 24 * v + 25 or t % 72 not in _FAMILIES:
         return None
-    sign = 1 if t % 6 == 1 else -1
-    u = (t - sign) // 6
-    family = next((f for f, key in _FAMILIES.items() if key == (u % 12, sign)),
-                  None)
-    return None if family is None else _record(family, u // 12)
+    return _record(t)
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ class CurveData:
 def intersection_curve_data(v: int) -> CurveData:
     """The curve of order v: v + 1 rows, so an order above MAX_ORDER is
     refused (DesignError, a ValueError) before any row is made."""
-    _check_admissible(v)
+    check_admissible(v)
     check_order(v)
     rows = tuple(
         (s, disjoint_block_bound(v, s), s) for s in range(v + 1)

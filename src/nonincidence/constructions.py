@@ -19,6 +19,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from itertools import permutations
 
+from .bounds import check_admissible
 from .design import (
     Design,
     NonincidenceCertificate,
@@ -258,10 +259,9 @@ def embed_subsystem(
     outside points 20, 21 and 27 each miss two of the sub points 0, 12
     and 13.  BudgetExhausted is then the answer; retry another seed.
     """
-    if v % 6 not in (1, 3) or w % 6 not in (1, 3):
-        raise ValueError(
-            f"orders ({w}, {v}) are inadmissible: both must be 1 or 3 mod 6")
-    if w < 1 or v < 2 * w + 1:
+    check_admissible(v)
+    check_admissible(w)
+    if v < 2 * w + 1:
         raise ValueError(f"an STS({v}) cannot properly contain a sub-STS({w})")
     rng = random.Random(seed)
     sub_blocks = [] if w < 3 else list(
@@ -286,8 +286,7 @@ def build_sts(
     move_budget bounds the climb; Bose makes no moves.  An order above
     MAX_ORDER raises DesignError (module docstring).
     """
-    if v % 6 not in (1, 3) or v < 1:
-        raise ValueError(f"order {v} is inadmissible (need v >= 1, 1 or 3 mod 6)")
+    check_admissible(v)
     if v == 1:
         return Design.from_blocks(1, [])
     if v % 6 == 3:
@@ -298,9 +297,11 @@ def build_sts(
 def subsystem_complement_certificate(e: EmbeddedDesign):
     """Nonincident certificate from a flagged subsystem.
 
-    Y is everything outside the sub-design, C its interior blocks;
-    C is trimmed to |Y| entries when the subsystem has more blocks than
-    there are outside points, so the claim stays square.  Raises
+    Y is everything outside the sub-design, C its interior blocks,
+    trimmed to |Y| entries.  The claim is square only when the subsystem
+    has at least as many blocks as there are outside points: a sub-STS(3)
+    in an STS(7) gives 4 points and 1 block, and a sub-STS(15) in an
+    STS(63) gives 48 points and 35 blocks.  Raises
     ValueError when the subsystem has no block (a sub-STS(1)): the
     certificate would be empty, and verification refuses an empty one.
     """

@@ -15,10 +15,10 @@ from nonincidence import (
     disjoint_block_bound,
     doubling,
     embed_subsystem,
-    enumerate_equality_orders,
     exact_max_nonincident,
     intersection_curve_data,
     is_subsystem,
+    iter_equality_orders,
     nonincidence_upper_bound,
     subsystem_complement_certificate,
     validate_design,
@@ -59,7 +59,7 @@ def test_criterion_1_bound_reproduction():
 
 def test_criterion_2_equality_families():
     done = _timed(1.0)
-    recs = enumerate_equality_orders(0)
+    recs = list(iter_equality_orders(0))
     assert [(r.v, r.s) for r in recs] == [(1, 0), (21, 12), (39, 26), (91, 70)]
     done()
     print("criterion 2 (z=0 families v=1,21,39,91 / s=0,12,26,70): PASS")
@@ -168,7 +168,7 @@ def test_criterion_8_counting_identity_suite():
 def test_criterion_9_subsystem_equivalence_both_ways():
     # Converse: the complement of any family subsystem excludes exactly
     # the subsystem's own blocks.
-    for rec in enumerate_equality_orders(3):
+    for rec in list(iter_equality_orders(3)):
         assert disjoint_block_bound(rec.v, rec.v - rec.w) == rec.w * (rec.w - 1) // 6
     # Forward: an equality certificate forces a subsystem off Y.
     emb = embed_subsystem(9, 21, seed=2)

@@ -5,8 +5,8 @@ import pytest
 from nonincidence import (
     classify_equality_order,
     disjoint_block_bound,
-    enumerate_equality_orders,
     intersection_curve_data,
+    iter_equality_orders,
     nonincidence_upper_bound,
 )
 
@@ -75,29 +75,29 @@ class TestComplementCount:
 
 class TestEqualityFamilies:
     def test_smallest_cases(self):
-        recs = enumerate_equality_orders(0)
+        recs = list(iter_equality_orders(0))
         assert [(r.v, r.s) for r in recs] == [(1, 0), (21, 12), (39, 26), (91, 70)]
         assert [r.family for r in recs] == [1, 3, 2, 4]
 
     def test_negative_zmax_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            enumerate_equality_orders(-1)
+            list(iter_equality_orders(-1))
 
     def test_made_in_v_order(self):
         # Records come z by z, families 1, 3, 2, 4, with no sort: v must
         # rise at every step, across each change of z too.
-        vs = [r.v for r in enumerate_equality_orders(2_000)]
+        vs = [r.v for r in list(iter_equality_orders(2_000))]
         assert len(vs) == 4 * 2_001
         assert all(a < b for a, b in zip(vs, vs[1:]))
 
     def test_z1_family1(self):
-        recs = {(r.family, r.z): r for r in enumerate_equality_orders(1)}
+        recs = {(r.family, r.z): r for r in list(iter_equality_orders(1))}
         r = recs[(1, 1)]
         assert (r.v, r.s, r.w) == (259, 222, 37)
         assert r.v % 6 == 1 and r.w % 6 == 1
 
     def test_records_internally_consistent(self):
-        for r in enumerate_equality_orders(5):
+        for r in list(iter_equality_orders(5)):
             assert 24 * r.v + 25 == r.t * r.t
             assert r.s == r.v - (r.t - 5) // 2
             assert r.w == r.v - r.s
@@ -139,13 +139,37 @@ class TestEqualityFamilies:
                 assert rec.s == nonincidence_upper_bound(v)
         assert hits > 4
 
+    def test_classify_matches_paper_condition_on_squares_to_1e6(self):
+        # Every v with 24v+25 = t^2, admissible or not (v = 4, 6, 11, ...):
+        # equality needs v and w = (t-5)/2 admissible and room for a
+        # sub-STS(w) (v >= 2w+1 or v = w).
+        hits = 0
+        for t in range(5, 1_000_001):
+            if (t * t - 25) % 24:
+                continue
+            v, w = (t * t - 25) // 24, (t - 5) // 2
+            paper = (v >= 1 and v % 6 in (1, 3) and w % 6 in (1, 3)
+                     and (v >= 2 * w + 1 or v == w))
+            rec = classify_equality_order(v)
+            assert (rec is not None) == paper, t
+            if rec is not None:
+                hits += 1
+                assert (rec.v, rec.w, rec.t) == (v, w, t)
+        assert hits > 4
+
+    def test_far_records_pin_u_and_t(self):
+        base = {1: 1, 2: 5, 3: 4, 4: 8}
+        for r in iter_equality_orders(300):
+            assert r.u == 12 * r.z + base[r.family]
+            assert r.t == 6 * r.u + (1 if r.family <= 2 else -1)
+
     def test_classify_inverts_far_records(self):
-        for r in enumerate_equality_orders(300):
+        for r in list(iter_equality_orders(300)):
             assert classify_equality_order(r.v) == r
             assert nonincidence_upper_bound(r.v) == r.s
 
     def test_classify_matches_enumeration(self):
-        recs = enumerate_equality_orders(3)
+        recs = list(iter_equality_orders(3))
         members = {r.v: r for r in recs}
         for v in range(1, max(members) + 1):
             got = classify_equality_order(v)
