@@ -334,23 +334,44 @@ def _greedy(d: Design) -> list[int]:
     stops before the first step that would leave t at or below the
     current |Y|.  Until then min(|Y|, t) = |Y| rises by one a step; from
     then on it is at most t, which adding points never raises, so Y is
-    the best set on the path.
+    the best set on the path.  The last point left always stops it, as it
+    would leave no block live.
+
+    One list holds keys[q] = (live degree of q << shift) | q, so min(keys)
+    is the step's point.  Taking p kills each live block through p, the
+    blocks whose three points are all untaken, and each takes one off the
+    keys of its three points; p's key is then retired above every other.
+    A block dies once, so the cost is one min over v keys a step and
+    three decrements per dying block: O(b + v*|Y|) in all.
     """
-    inc = d.point_incidence
-    shift = d.v.bit_length()
-    mask = d.all_blocks_mask()
+    v, blocks = d.v, d.blocks
+    shift = v.bit_length()
+    one = 1 << shift
+    through = [[] for _ in range(v)]
+    for blk in blocks:
+        a, b, c = blk
+        through[a].append(blk)
+        through[b].append(blk)
+        through[c].append(blk)
+    keys = [(len(row) << shift) | q for q, row in enumerate(through)]
+    retired = (len(blocks) + 1) << shift
+    taken = bytearray(v)
+    t = len(blocks)
     Y: list[int] = []
-    rest = set(range(d.v))
-    while rest:
-        key = min(((inc[q] & mask).bit_count() << shift) | q for q in rest)
-        p = key & ((1 << shift) - 1)
-        left = mask & ~inc[p]
-        if left.bit_count() <= len(Y):
-            break
+    while True:
+        key = min(keys)
+        t -= key >> shift
+        if t <= len(Y):
+            return Y
+        p = key & (one - 1)
         Y.append(p)
-        rest.remove(p)
-        mask = left
-    return Y
+        for a, b, c in through[p]:
+            if not (taken[a] or taken[b] or taken[c]):
+                keys[a] -= one
+                keys[b] -= one
+                keys[c] -= one
+        taken[p] = 1
+        keys[p] = retired
 
 
 # Swaps one _swap_search call may make before it gives up.

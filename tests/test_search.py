@@ -1519,11 +1519,18 @@ class TestGreedy:
                 27, rng.sample(build_sts(27, seed=2).blocks, 100)),
             lambda rng: Design.from_blocks(7, []),
             lambda rng: Design.from_blocks(1, []),
+            # Equal live degrees cross label order once blocks die.
+            lambda rng: relabel(build_sts(31, seed=1), 0),
+            # Points 0..5 lie on no block, so their keys start at degree 0.
+            lambda rng: Design.from_blocks(
+                21, [blk for blk in bose(21).blocks if blk[0] >= 6]),
+            lambda rng: bose(147),
         ],
         ids=["fano", "ag23", "sts13", "bose15", "sts25", "bose99",
              "embed9_21", "embed7_15", "embed21_91", "doubling9",
              "doubling45", "sts13_subset", "bose21_subset",
-             "sts27_subset", "empty7", "empty1"],
+             "sts27_subset", "empty7", "empty1", "sts31_relabel0",
+             "bose21_isolated", "bose147"],
     )
     def test_matches_the_loop_that_ran_to_the_end(self, make):
         # Greedy stops before the step that would leave t <= |Y|; the
