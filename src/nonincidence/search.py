@@ -98,10 +98,15 @@ once it is excluded.  The new blocks all pass through p, and a pair lies
 on one block, so no other excluded point lies on two of them: the XOR
 inside xm is also their union, p aside, and marks xd's new points.  d_x,
 o and xd are fixed by Y and X alone, not by best, so a new incumbent
-needs no recount.  The rule is tested at node entry and again after each
-exclusion, where it breaks the sibling loop: every set below a later
-sibling contains Y and avoids X and p, so the bound just tested covers
-it.
+needs no recount.  The rule is tested on each child in its parent, right
+after the child is counted and its e, o and xd computed, so a child that
+fails it gets no frame; exact_max_nonincident tests the root.  A child
+that raises the incumbent to best + 1 holds best + 1 points that reach
+it, so it passes the test for the old target and is entered, and its
+parent reads best, m, f and 2E again once it returns.  The rule is tested
+again after each exclusion, where it breaks the sibling loop: every set
+below a later sibling contains Y and avoids X and p, so the bound just
+tested covers it.
 
 Symmetry at the top of the tree.  An automorphism h of the design keeps
 |Y| and t(Y), so h(Y) is exactly as good as Y.  Root child l, adding
@@ -208,16 +213,6 @@ def kill_bound(s: int, q: int) -> int:
     candidates); see the module docstring for why each term is sound.
     """
     return max(s - q, (2 * s - q + 2) // 3, (s + 2) // 3)
-
-
-def _xor_blocks(block_mask, blocks: int) -> int:
-    """XOR of the point masks block_mask[i] over the blocks i in blocks."""
-    z = 0
-    while blocks:
-        low = blocks & -blocks
-        z ^= block_mask[low.bit_length() - 1]
-        blocks ^= low
-    return z
 
 
 # Backtrack steps one _orbits call may spend on its automorphism searches.
@@ -465,6 +460,12 @@ class _BranchAndBound:
     """
 
     def __init__(self, d: Design, node_budget: int):
+        # A budget below 0 or a fraction is never met by the count, so it
+        # would run unbounded.
+        if (isinstance(node_budget, bool) or not isinstance(node_budget, int)
+                or node_budget < 0):
+            raise ValueError(
+                f"node budget must be an int >= 0, got {node_budget!r}")
         self.d = d
         self.v = d.v
         self.inc = d.point_incidence
@@ -475,8 +476,9 @@ class _BranchAndBound:
         # _orbits(d, fixed), computed once for each fixed.
         self.orbit = cache(lambda fixed: _orbits(d, fixed))
         # Candidates travel as (degree << shift) | point, so sorting
-        # compares plain ints.
-        self.shift = d.v.bit_length()
+        # compares plain ints; v*v < 1 << shift, so a sum of fewer than v
+        # of them, shifted down, is the sum of their degrees.
+        self.shift = 2 * d.v.bit_length()
         self.low = (1 << self.shift) - 1
         self.ceiling = self.bound = nonincidence_upper_bound(d.v)
         self.decisions = []
@@ -570,9 +572,12 @@ class _BranchAndBound:
         with at least one and at least two points in W, out those with a
         point outside W.  A block in in2 and out has exactly two points in
         W, whose pair no block inside W covers; W may leave at most spare
-        such pairs, so a branch with more is pruned.  Each call counts as
-        a node of the budget; on its end None comes back with
-        self.truncated set.
+        such pairs, so a branch with more is pruned.  Each call of grow is
+        a step, which counts against a local budget left, written back to
+        self.nodes when the search ends; a step tried with none left sets
+        self.truncated and returns None.  k is the number of blocks taken,
+        and rest[i] the blocks that meet a block i or later through w,
+        those a leaf at i drops.
         """
         inc = self.inc
         m = self.v - s
@@ -581,53 +586,57 @@ class _BranchAndBound:
         pairs = [tuple(p for p in self.d.blocks[i] if p != w)
                  for i in _bits(inc[w])]
         hit = [inc[a] | inc[b] for a, b in pairs]
+        rest = [0] * (len(hit) + 1)
+        for i in range(len(hit) - 1, -1, -1):
+            rest[i] = rest[i + 1] | hit[i]
         out = 0
         for p in set(range(self.v)).difference([w], *pairs):
             out |= inc[p]
         taken = []
+        left = self.node_budget - self.nodes
 
-        def grow(i, in1, in2, out):
-            if self.nodes == self.node_budget:
+        def grow(i, k, in1, in2, out):
+            nonlocal left
+            if not left:
                 self.truncated = True
                 return None
-            self.nodes += 1
+            left -= 1
             if (in2 & out).bit_count() > spare:
                 return None
-            if len(taken) == need:
+            if k == need:
                 # The blocks left are dropped.  Every point is then placed,
                 # so the blocks in in2 and not in out lie inside W.
-                for u in hit[i:]:
-                    out |= u
-                if (in2 & ~out).bit_count() < s:
+                if (in2 & ~(out | rest[i])).bit_count() < s:
                     return None
                 return {w}.union(*(pairs[j] for j in taken))
-            if len(hit) - i < need - len(taken):
+            if len(hit) - i < need - k:
                 return None
             u = hit[i]
             taken.append(i)
-            found = grow(i + 1, in1 | u, in2 | in1 & u, out)
+            found = grow(i + 1, k + 1, in1 | u, in2 | in1 & u, out)
             taken.pop()
             if found is not None or self.truncated:
                 return found
-            return grow(i + 1, in1, in2, out | u)
+            return grow(i + 1, k, in1, in2, out | u)
 
-        return grow(0, inc[w], 0, out)
+        found = grow(0, 0, inc[w], 0, out)
+        self.nodes = self.node_budget - left
+        return found
 
     def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o, xd):
+        """Explore the node with points Y.  Its parent has counted it,
+        offered its value as the incumbent and run its floor test (module
+        docstring); the root is not counted, its value 0 never beats best,
+        and exact_max_nonincident runs its floor test.
+        """
+        best, m, floor, limit = self.best, self.m, self.floor, self.limit
         y = len(Y)
-        value = min(y, t)
-        if value > self.best:
-            self._incumbent(value, Y)
-        m, oc, tc = self.m, o.bit_count(), xd.bit_count()
-        if 2 * e + (oc if m & 1 else tc - oc) + self.floor * (m - tc) > self.limit:
-            return
-        best = self.best
         n = len(cands)
         need = best - y + 1
         inc, bm, shift, low = self.inc, self.block_mask, self.shift, self.low
         keys = sorted([((inc[p] & mask).bit_count() << shift) | p for p in cands])
-        s = sum([k >> shift for k in keys[:need]])
-        if t - kill_bound(s, need * (need - 1) >> 1) <= best:
+        if t - kill_bound(sum(keys[:need]) >> shift,
+                          need * (need - 1) >> 1) <= best:
             return
         pts = [k & low for k in keys]
         dead = ~mask
@@ -636,10 +645,10 @@ class _BranchAndBound:
         top = y < 2 and not xm
         skip = False
         for i, k in enumerate(keys):
-            if y + n - i <= self.best:
+            if y + n - i <= best:
                 break
             nt = t - (k >> shift)
-            if nt <= self.best:
+            if nt <= best:
                 break
             p = pts[i]
             if i and top:
@@ -651,11 +660,35 @@ class _BranchAndBound:
                     self.truncated = True
                     return
                 self.nodes += 1
+                # The child's floor test runs here, so a child that fails
+                # it gets no frame.
                 new = ip & x2
-                z = _xor_blocks(bm, new) & xm if new else 0
+                ce, co, cxd = e, o, xd
+                if new:
+                    ce += new.bit_count()
+                    z = 0
+                    while new:
+                        b = new & -new
+                        z ^= bm[b.bit_length() - 1]
+                        new ^= b
+                    z &= xm
+                    co ^= z
+                    cxd |= z
                 Y.append(p)
-                self._rec(pts[i + 1:], Y, mask & ~ip, nt, x1, x2,
-                          e + new.bit_count(), xm, o ^ z, xd | z)
+                if y == best:
+                    # nt > best, so the child's value is best + 1.  Its own
+                    # best + 1 points reach that, so it passes the floor
+                    # test for best + 1, which the locals still hold, and
+                    # is entered; they are read again when it returns.
+                    self._incumbent(y + 1, Y)
+                oc, tc = co.bit_count(), cxd.bit_count()
+                if (not self.truncated and 2 * ce + (oc if m & 1 else tc - oc)
+                        + floor * (m - tc) <= limit):
+                    self._rec(pts[i + 1:], Y, mask & ~ip, nt, x1, x2, ce, xm,
+                              co, cxd)
+                    if self.best != best:
+                        best, m, floor, limit = (self.best, self.m, self.floor,
+                                                 self.limit)
                 Y.pop()
                 if self.truncated:
                     return
@@ -664,11 +697,16 @@ class _BranchAndBound:
             new = ip & x1 & dead
             if new:
                 e += new.bit_count()
-                z = _xor_blocks(bm, new) & xm
+                z = 0
+                while new:
+                    b = new & -new
+                    z ^= bm[b.bit_length() - 1]
+                    new ^= b
+                z &= xm
                 o ^= z
                 xd |= z | 1 << p
-            m, oc, tc = self.m, o.bit_count(), xd.bit_count()
-            if 2 * e + (oc if m & 1 else tc - oc) + self.floor * (m - tc) > self.limit:
+            oc, tc = o.bit_count(), xd.bit_count()
+            if 2 * e + (oc if m & 1 else tc - oc) + floor * (m - tc) > limit:
                 break
             x2 |= x1 & ip
             x1 |= ip
@@ -681,12 +719,16 @@ def exact_max_nonincident(
 
     Deterministic: the same design and budget give the same certificate
     and node count.  An incumbent at the ceiling prunes every node left,
-    so the search ends early with a proved maximum.
+    so the search ends early with a proved maximum.  A node_budget that is
+    not an int >= 0 (a bool included) raises ValueError before any work.
     """
     start = time.perf_counter()
     bb = _BranchAndBound(d, node_budget)
     full = d.all_blocks_mask()
-    bb._rec(list(range(d.v)), [], full, full.bit_count(), 0, 0, 0, 0, 0, 0)
+    # The root's floor test: it has no excluded point, so e = o = |T| = 0.
+    if bb.floor * bb.m <= bb.limit:
+        bb._rec(list(range(d.v)), [], full, full.bit_count(),
+                0, 0, 0, 0, 0, 0)
     if bb.best > bb.bound:
         raise AssertionError(
             f"search found s={bb.best} above the theoretical ceiling {bb.bound}"

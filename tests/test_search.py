@@ -76,6 +76,18 @@ class TestExactSearch:
             assert not rep.exact
             assert rep.nodes_visited == budget
 
+    @pytest.mark.parametrize("budget", [-1, -5, 1.5, True, False, "10", None])
+    def test_budget_that_is_no_count_is_refused(self, budget, monkeypatch):
+        # The count never meets a negative or fractional budget, so the
+        # search would run unbounded and report more nodes than its budget.
+        # It is refused before greedy or any decision runs.
+        def no_work(d):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(search, "_greedy", no_work)
+        with pytest.raises(ValueError, match="node budget"):
+            exact_max_nonincident(bose(15), node_budget=budget)
+
     def test_reproducible_single_worker(self):
         d = build_sts(13, seed=4)
         a = exact_max_nonincident(d)
@@ -1297,15 +1309,25 @@ class TestCeilingDecision:
         # The node with X = W and Y all but point 44 must be kept.  Each
         # point of W misses exactly two pairs, so it adds exactly 2 to
         # 2e + o + 2(m - |xd|), whichever of its pairs are defects yet:
-        # the sum is 30 = 2E, and a prune one too eager loses W.
-        Y, X = list(range(15, 44)), list(range(15))
+        # the sum is 30 = 2E, and a prune one too eager loses W.  A node's
+        # floor test runs in its parent, so the tree is entered one level
+        # up, at Y = 15..42 with candidates 43 and 44: its first child adds
+        # 43, has that sum and must be entered, and its own child reaches
+        # 30.  With 43 excluded, no set below the second child has 30
+        # points.
+        Y, X = list(range(15, 43)), list(range(15))
         x1, x2, e, o, xd = _recount(d, _third_points(d), Y, X)
         assert 2 * e + o.bit_count() + 2 * (15 - xd.bit_count()) == 30
+        child = _recount(d, _third_points(d), Y + [43], X)
+        assert 2 * child[2] + child[3].bit_count() + 2 * (
+            15 - child[4].bit_count()) == 30
         mask = d.all_blocks_mask()
         for p in Y:
             mask &= ~d.point_incidence[p]
-        bb._rec([44], Y, mask, mask.bit_count(), x1, x2, e, (1 << 15) - 1,
-                o, xd)
+        before = bb.nodes
+        bb._rec([43, 44], Y, mask, mask.bit_count(), x1, x2, e,
+                (1 << 15) - 1, o, xd)
+        assert bb.nodes - before == 2
         assert bb.best == 30
         assert sorted(bb.best_Y) == list(range(15, 45))
 
@@ -1318,6 +1340,20 @@ class TestCeilingDecision:
             assert not rep.exact
             assert rep.nodes_visited == budget and rep.best_s == 9
         assert exact_max_nonincident(d, node_budget=5_143).exact
+
+    def test_budget_out_on_either_side_of_the_tree_is_not_exact(self):
+        # build_sts(25, 1) spends 41,095 steps on the decision and 31,489
+        # nodes in the tree.  A budget that runs out at the decision's
+        # last step, at the tree's first node, one node into the tree,
+        # inside it or at its last node stops there, not exact, with
+        # greedy's 13; the whole 72,584 proves 13.
+        d = build_sts(25, seed=1)
+        for budget in (41_094, 41_095, 41_096, 60_000, 72_583):
+            rep = exact_max_nonincident(d, node_budget=budget)
+            assert not rep.exact
+            assert rep.nodes_visited == budget and rep.best_s == 13
+        rep = exact_max_nonincident(d, node_budget=72_584)
+        assert rep.exact and rep.nodes_visited == 72_584
 
     @pytest.mark.parametrize("make,budget,lines", [
         (lambda: build_sts(19, seed=1), 10_000,
