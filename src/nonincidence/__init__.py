@@ -16,7 +16,6 @@ from .constructions import (
     build_sts,
     doubling,
     embed_subsystem,
-    one_factorization,
     subsystem_complement_certificate,
 )
 from .design import (
@@ -64,7 +63,6 @@ __all__ = [
     "is_subsystem",
     "iter_equality_orders",
     "nonincidence_upper_bound",
-    "one_factorization",
     "subsystem_complement_certificate",
     "validate_design",
     "verify_certificate",

@@ -35,25 +35,6 @@ class BudgetExhausted(RuntimeError):
     """Hill-climbing ran out of moves; retryable with another seed."""
 
 
-def one_factorization(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Circle-method partition of K_n's edges into n-1 perfect matchings.
-
-    Vertex n-1 sits at the center; vertices 0..n-2 rotate.  Deterministic.
-    """
-    if n < 2 or n % 2:
-        raise ValueError(f"one-factorization needs even n >= 2, got {n}")
-    m = n - 1
-    factors = []
-    for k in range(m):
-        pairs = [tuple(sorted((k, m)))]
-        for i in range(1, n // 2):
-            a = (k + i) % m
-            b = (k - i) % m
-            pairs.append(tuple(sorted((a, b))))
-        factors.append(tuple(sorted(pairs)))
-    return tuple(factors)
-
-
 def bose(v: int) -> Design:
     """Bose construction of an STS(v) on Z_n x {0,1,2}, n = v/3 odd.
 
@@ -80,19 +61,23 @@ def bose(v: int) -> Design:
 def doubling(sub: Design) -> tuple[Design, tuple[int, ...]]:
     """Extend an STS(w) to an STS(2w+1); returns (design, arc).
 
-    Old points keep labels 0..w-1; the w+1 new points w..2w carry a
-    one-factorization whose factor x is joined to old point x.  The new
-    points form a maximal arc: old blocks miss them, new blocks use two.
+    Old points keep labels 0..w-1; the w+1 new points w..2w carry the
+    circle-method one-factorization, whose factor x is joined to old point
+    x: the pair {w+x, 2w} and the pairs {w+(x+i) mod w, w+(x-i) mod w} for
+    1 <= i < (w+1)/2.  These factors hold every pair of new points once,
+    as w is odd: {w+a, 2w} is in factor a, and {w+a, w+b} in the one x
+    with 2x = a+b (mod w).  The new points form a maximal arc: old blocks
+    miss them, new blocks use two.
     """
     if not validate_design(sub).ok:
         raise ValueError(f"doubling input is not a valid STS({sub.v})")
     w = sub.v
     check_order(2 * w + 1)
-    factors = one_factorization(w + 1)
     blocks = list(sub.blocks)
     for x in range(w):
-        for a, b in factors[x]:
-            blocks.append((x, w + a, w + b))
+        blocks.append((x, w + x, 2 * w))
+        for i in range(1, (w + 1) // 2):
+            blocks.append((x, w + (x + i) % w, w + (x - i) % w))
     arc = tuple(range(w, 2 * w + 1))
     return Design.from_blocks(2 * w + 1, blocks), arc
 

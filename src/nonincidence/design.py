@@ -2,9 +2,12 @@
 
 Points are always labeled 0..v-1.  Blocks are 3-element point sets stored
 as sorted tuples; the block list is kept in lexicographic order so that a
-design has exactly one canonical serialization.  Incidence is kept twice,
-as arbitrary-width integer bitmasks: one mask over blocks per point and
-one mask over points per block.
+design has exactly one canonical serialization.  Incidence is kept once,
+as arbitrary-width integer bitmasks: one mask over blocks per point.
+Loading and is_subsystem read these masks, and certificate checks read
+the block tuples.  A mask over points per block is built by its one
+reader, the exact search's tree over point sets (search.py), from the
+block list.
 
 Pair questions are answered by two rules.  The pair rule: points x and
 y lie on a common block iff ``point_incidence[x] & point_incidence[y]``
@@ -74,7 +77,6 @@ class Design:
     v: int
     blocks: tuple[tuple[int, int, int], ...]
     point_incidence: tuple[int, ...] = field(repr=False)
-    block_mask: tuple[int, ...] = field(repr=False)
 
     @classmethod
     def from_blocks(cls, v: int, blocks) -> "Design":
@@ -94,7 +96,6 @@ class Design:
             canon.append(pts)
         canon.sort()
         point_inc = [0] * v
-        block_mask = []
         for i, (a, b, c) in enumerate(canon):
             # Two points share an earlier block iff their masks meet.
             pa, pb, pc = point_inc[a], point_inc[b], point_inc[c]
@@ -105,8 +106,7 @@ class Design:
             point_inc[a] = pa | bit
             point_inc[b] = pb | bit
             point_inc[c] = pc | bit
-            block_mask.append(1 << a | 1 << b | 1 << c)
-        return cls(v, tuple(canon), tuple(point_inc), tuple(block_mask))
+        return cls(v, tuple(canon), tuple(point_inc))
 
     @property
     def b(self) -> int:
@@ -315,8 +315,8 @@ def certificate_violations(d: Design, cert: NonincidenceCertificate):
     """
     _check_entries(cert.Y, d.v, "point")
     _check_entries(cert.C, d.b, "block index")
-    ymask = _point_mask(d, cert.Y)
-    return [(p, i) for i in cert.C for p in _bits(d.block_mask[i] & ymask)]
+    Y = set(cert.Y)
+    return [(p, i) for i in cert.C for p in d.blocks[i] if p in Y]
 
 
 def verify_certificate(
@@ -351,9 +351,14 @@ def is_subsystem(d: Design, points) -> tuple[bool, tuple[int, ...]]:
     that pair is already covered inside.  And w is an admissible order:
     the blocks through a point of the set pair up its w - 1 partners, so
     w is odd, and 6 divides w(w-1), so w is 1 or 3 mod 6.
-    Interior block indices are returned either way.
+    Interior block indices are returned either way: the blocks that meet
+    no point outside the set.
     """
     zmask = _point_mask(d, points)
     w = zmask.bit_count()
-    interior = tuple(i for i, m in enumerate(d.block_mask) if m & zmask == m)
+    outside = 0
+    for p, inc in enumerate(d.point_incidence):
+        if not zmask >> p & 1:
+            outside |= inc
+    interior = tuple(_bits(d.all_blocks_mask() & ~outside))
     return w > 0 and 6 * len(interior) == w * (w - 1), interior

@@ -94,19 +94,22 @@ gains the blocks through p in x2 as defects.  Once that child returns p
 is excluded, and the blocks through p in x1 that meet Y (dead at the
 node) become defects.  Each new defect flips the parity of its two
 points: for each new block, the points of its mask inside xm, p included
-once it is excluded.  The new blocks all pass through p, and a pair lies
-on one block, so no other excluded point lies on two of them: the XOR
-inside xm is also their union, p aside, and marks xd's new points.  d_x,
-o and xd are fixed by Y and X alone, not by best, so a new incumbent
-needs no recount.  The rule is tested on each child in its parent, right
-after the child is counted and its e, o and xd computed, so a child that
-fails it gets no frame; exact_max_nonincident tests the root.  A child
-that raises the incumbent to best + 1 holds best + 1 points that reach
-it, so it passes the test for the old target and is entered, and its
-parent reads best, m, f and 2E again once it returns.  The rule is tested
-again after each exclusion, where it breaks the sibling loop: every set
-below a later sibling contains Y and avoids X and p, so the bound just
-tested covers it.
+once it is excluded.  These masks over points, one per block, are the
+tree's own: it builds them from the block list when the search starts,
+and one walk, _xor_blocks, XORs those of the new blocks.  The new blocks
+all pass through p, and a pair lies on one block, so no other excluded
+point lies on two of them: the XOR inside xm is also their union, p
+aside, and marks xd's new points.  d_x, o and xd are fixed by Y and X
+alone, not by best, so a new incumbent needs no recount.  The rule is
+tested on each child in its parent, right after the child is counted and
+its e, o and xd computed, so a child that fails it gets no frame;
+exact_max_nonincident tests the root.  A child that raises the incumbent
+to best + 1 holds best + 1 points that reach it, so it passes the test
+for the old target and is entered, and its parent reads best, m, f and
+2E again once it returns.  The rule is tested again after each
+exclusion, where it breaks the sibling loop: every set below a later
+sibling contains Y and avoids X and p, so the bound just tested covers
+it.
 
 Symmetry at the top of the tree.  An automorphism h of the design keeps
 |Y| and t(Y), so h(Y) is exactly as good as Y.  Root child l, adding
@@ -453,6 +456,17 @@ def _report(d: Design, method: str, start: float, best: int, Y,
     )
 
 
+def _xor_blocks(new: int, bm) -> int:
+    """The XOR of the point masks bm[i] of the blocks i in the mask new:
+    the defect walk of _rec (module docstring)."""
+    z = 0
+    while new:
+        b = new & -new
+        z ^= bm[b.bit_length() - 1]
+        new ^= b
+    return z
+
+
 class _BranchAndBound:
     """The exact search over d within node_budget.  Its ceiling starts at
     the paper's bound, kept as self.bound; the incumbent is best and its
@@ -469,7 +483,9 @@ class _BranchAndBound:
         self.d = d
         self.v = d.v
         self.inc = d.point_incidence
-        self.block_mask = d.block_mask
+        # A mask over points per block, for the defect walk (_xor_blocks);
+        # the tree is its one reader.
+        self.block_mask = [1 << a | 1 << b | 1 << c for a, b, c in d.blocks]
         self.node_budget = node_budget
         self.nodes = 0
         self.truncated = False
@@ -666,12 +682,7 @@ class _BranchAndBound:
                 ce, co, cxd = e, o, xd
                 if new:
                     ce += new.bit_count()
-                    z = 0
-                    while new:
-                        b = new & -new
-                        z ^= bm[b.bit_length() - 1]
-                        new ^= b
-                    z &= xm
+                    z = _xor_blocks(new, bm) & xm
                     co ^= z
                     cxd |= z
                 Y.append(p)
@@ -697,12 +708,7 @@ class _BranchAndBound:
             new = ip & x1 & dead
             if new:
                 e += new.bit_count()
-                z = 0
-                while new:
-                    b = new & -new
-                    z ^= bm[b.bit_length() - 1]
-                    new ^= b
-                z &= xm
+                z = _xor_blocks(new, bm) & xm
                 o ^= z
                 xd |= z | 1 << p
             oc, tc = o.bit_count(), xd.bit_count()
@@ -772,10 +778,11 @@ def find_subsystem(d: Design, w: int) -> tuple[int, ...] | None:
     v = d.v
     if not 1 <= w <= v:
         return None
-    # A table lookup per pair.  Closing over block_mask instead, as the
-    # pair rule allows, was about 3x faster on an unrelabelled embed(21, 91)
-    # but 1.5-2.3x slower on relabelled designs and on designs without a
-    # sub-STS(w), such as build_sts(91, 1) at w = 21.
+    # A table lookup per pair.  Closing over per-block point masks
+    # instead, as the pair rule allows, was about 3x faster on an
+    # unrelabelled embed(21, 91) but 1.5-2.3x slower on relabelled designs
+    # and on designs without a sub-STS(w), such as build_sts(91, 1) at
+    # w = 21.
     third = d.third
 
     def close(closed, mask, p):

@@ -119,6 +119,11 @@ def replication(d: Design) -> int:
     return (d.v - 1) // 2
 
 
+def block_masks(d: Design) -> list[int]:
+    """Per block, the mask over its three points, built from d.blocks."""
+    return [1 << a | 1 << b | 1 << c for a, b, c in d.blocks]
+
+
 def _covered_mask(d: Design, points) -> int:
     """Bitmask of block indices meeting the given point set."""
     m = 0
@@ -152,8 +157,9 @@ def coverage_profile(d: Design, points) -> CoverageProfile:
     s = ymask.bit_count()
     covered = _covered_mask(d, points)
     c = sum_sizes = sum_pairs = sum_squares = 0
+    masks = block_masks(d)
     for i in _bits(covered):
-        k = (d.block_mask[i] & ymask).bit_count()
+        k = (masks[i] & ymask).bit_count()
         c += 1
         sum_sizes += k
         sum_pairs += k * (k - 1) // 2
@@ -167,7 +173,7 @@ def is_maximal_arc(d: Design, points) -> bool:
     if 2 * ymask.bit_count() != d.v + 1:
         return False
     return all(
-        (m & ymask).bit_count() in (0, 2) for m in d.block_mask
+        (m & ymask).bit_count() in (0, 2) for m in block_masks(d)
     )
 
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from nonincidence import (
     doubling,
     embed_subsystem,
     is_subsystem,
-    one_factorization,
     subsystem_complement_certificate,
     validate_design,
     verify_certificate,
@@ -45,27 +43,6 @@ class TestBose:
         assert validate_design(bose(v)).ok
 
 
-class TestOneFactorization:
-    @pytest.mark.parametrize("n", [2, 4, 6, 10, 20])
-    def test_partitions_all_edges(self, n):
-        factors = one_factorization(n)
-        assert len(factors) == n - 1
-        seen = set()
-        for factor in factors:
-            assert len(factor) == n // 2
-            touched = set(itertools.chain.from_iterable(factor))
-            assert touched == set(range(n))
-            seen.update(factor)
-        assert len(seen) == n * (n - 1) // 2
-
-    def test_minimal(self):
-        assert one_factorization(2) == (((0, 1),),)
-
-    def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            one_factorization(5)
-
-
 class TestDoubling:
     def test_sts3_to_sts7(self):
         d7, arc = doubling(bose(3))
@@ -80,6 +57,16 @@ class TestDoubling:
         assert is_maximal_arc(d19, arc)
         ok, interior = is_subsystem(d19, range(9))
         assert ok and len(interior) == 12
+
+    @pytest.mark.parametrize("w", [1, 3, 7, 9, 13, 15])
+    def test_old_point_x_joins_a_perfect_matching_of_the_new_points(self, w):
+        # Old point x lies on (w+1)/2 new blocks whose other points cover
+        # the new points w..2w once each, and one of them is {x, w+x, 2w}.
+        d, arc = doubling(build_sts(w, 1))
+        for x in range(w):
+            pairs = [blk[1:] for blk in d.blocks if blk[0] == x and blk[1] >= w]
+            assert sorted(p for pair in pairs for p in pair) == list(arc)
+            assert (w + x, 2 * w) in pairs
 
     def test_arc_disjoint_exceeds_arc_size_from_19(self):
         assert (19 * 19 - 4 * 19 + 3) // 24 == 12 > (19 + 1) // 2

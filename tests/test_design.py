@@ -14,6 +14,7 @@ from nonincidence import (
     NonincidenceCertificate,
     bose,
     build_sts,
+    certificate_violations,
     embed_subsystem,
     disjoint_block_bound,
     doubling,
@@ -547,6 +548,62 @@ class TestSubsystemOracle:
         for pts in sets:
             assert is_subsystem(d, pts) == subsystem_oracle(d, pts), pts
         assert any(is_subsystem(d, pts)[0] for pts in sets)
+
+
+def violations_oracle(d, cert):
+    """certificate_violations by plain tuple scanning, no bitmasks: for
+    each block index of C in the claim's order, each point of Y on that
+    block, in label order."""
+    Y = set(cert.Y)
+    return [(p, i) for i in cert.C for p in range(d.v)
+            if p in Y and p in d.blocks[i]]
+
+
+def _random_claim(d, rng):
+    """A claim on d with Y and C in random order, so that order counts."""
+    Y = rng.sample(range(d.v), rng.randint(0, d.v))
+    C = rng.sample(range(d.b), rng.randint(0, d.b))
+    return NonincidenceCertificate(v=d.v, Y=tuple(Y), C=tuple(C),
+                                   design_digest=d.digest())
+
+
+class TestCertificateViolationsOracle:
+    def test_fano_and_every_block_subset(self):
+        rng = random.Random(7)
+        for r in range(8):
+            for blocks in itertools.combinations(FANO_BLOCKS, r):
+                d = Design.from_blocks(7, blocks)
+                for _ in range(20):
+                    cert = _random_claim(d, rng)
+                    assert (certificate_violations(d, cert)
+                            == violations_oracle(d, cert)), cert
+
+    def test_ag23_and_block_subsets(self):
+        rng = random.Random(9)
+        subsets = [AG23_BLOCKS, []] + [
+            rng.sample(AG23_BLOCKS, rng.randrange(1, 12)) for _ in range(20)
+        ]
+        for blocks in subsets:
+            d = Design.from_blocks(9, blocks)
+            for _ in range(50):
+                cert = _random_claim(d, rng)
+                assert (certificate_violations(d, cert)
+                        == violations_oracle(d, cert)), cert
+
+    @pytest.mark.parametrize("name", SUITE_STS)
+    def test_suite_designs(self, name):
+        # Random claims, and each block's own points against every block,
+        # so that some claims meet many blocks.
+        d = SUITE_STS[name]()
+        rng = random.Random(d.v)
+        certs = [_random_claim(d, rng) for _ in range(20)]
+        certs += [NonincidenceCertificate(v=d.v, Y=d.blocks[i],
+                                          C=tuple(range(d.b)),
+                                          design_digest=d.digest())
+                  for i in rng.sample(range(d.b), min(d.b, 3))]
+        for cert in certs:
+            assert (certificate_violations(d, cert)
+                    == violations_oracle(d, cert)), cert
 
 
 class TestMaximalArc:

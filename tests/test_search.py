@@ -25,7 +25,13 @@ from nonincidence import (
 from nonincidence import search
 from nonincidence.constructions import _hill_climb
 from nonincidence.search import _BranchAndBound, _orbits, kill_bound
-from conftest import AG23_BLOCKS, FANO_BLOCKS, brute_force_oracle, reference_greedy
+from conftest import (
+    AG23_BLOCKS,
+    FANO_BLOCKS,
+    block_masks,
+    brute_force_oracle,
+    reference_greedy,
+)
 
 
 def _no_swaps(monkeypatch):
@@ -190,7 +196,8 @@ class TestExactSearch:
         # m = 8, so it kept its count.  v=25
         # went from 64,813 tree nodes to 41,095 steps that refute a full
         # point at 14 and 31,489 nodes under the lifted floor: fewer tree
-        # nodes and cheaper steps, about 0.48 s to 0.29 s on that Xeon.
+        # nodes and cheaper steps; the whole search now takes 0.14-0.16 s
+        # on that Xeon.
         # v=31 has even m = 12 at its ceiling 19 and 2E = 18 >= m, so no
         # decision runs and the tree proves 18 under the parity floor 1;
         # that floor inverted (0 at even m, 1 at odd m) reads 89,839.
@@ -877,9 +884,10 @@ def _pasch_brute_force(d):
     configuration: every two of the four blocks meet in one point, and
     the four cover six points, so no point lies on three.  Every 4-set is
     reached through its pairwise meetings, so none is missed."""
-    meets = [{j for j, other in enumerate(d.block_mask)
+    masks = block_masks(d)
+    meets = [{j for j, other in enumerate(masks)
               if j != i and (mask & other).bit_count() == 1}
-             for i, mask in enumerate(d.block_mask)]
+             for i, mask in enumerate(masks)]
     counts = [0] * d.b
     for i in range(d.b):
         for j in (j for j in meets[i] if j > i):
@@ -888,7 +896,7 @@ def _pasch_brute_force(d):
                     quad = (i, j, k, m)
                     union = 0
                     for x in quad:
-                        union |= d.block_mask[x]
+                        union |= masks[x]
                     if union.bit_count() == 6:
                         for x in quad:
                             counts[x] += 1

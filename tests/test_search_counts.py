@@ -19,10 +19,12 @@ def test_prints_one_row_per_design():
     proc = _run(ROOT / "src")
     assert proc.returncode == 0 and proc.stderr == ""
     rows = [line.split() for line in proc.stdout.splitlines()]
-    assert rows[0] == ["nodes", "best_s", "exact", "design"]
+    assert rows[0] == ["nodes", "best_s", "exact", "digest", "design"]
     assert len(rows) == 8
-    assert ["72584", "13", "True", "build_sts(25,1)"] in rows
-    assert ["132", "6", "True", "bose(15)"] in rows
+    assert ["72584", "13", "True", "3a8e81e0e6b6", "build_sts(25,1)"] in rows
+    assert ["132", "6", "True", "fa69563e1f98", "bose(15)"] in rows
+    assert ["34215", "18", "True", "5dc9f56083d8",
+            "doubling(build_sts(15,1))"] in rows
 
 
 def test_refuses_a_package_found_elsewhere(tmp_path):

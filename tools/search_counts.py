@@ -5,9 +5,11 @@ Usage: python tools/search_counts.py SRC
 SRC is a source directory that holds the nonincidence package, such as
 this tree's src/ or another commit's src/ unpacked beside it.  For each
 design the script prints nodes_visited, best_s and exact of
-exact_max_nonincident at its default budget, one row per design.  Node
-counts are deterministic, so two trees whose tables differ in some row
-search differently there.  The designs are the exact_ladder rungs,
+exact_max_nonincident at its default budget, and the first 12 hex digits
+of the design's digest, one row per design.  Node counts are
+deterministic, so two trees whose tables differ in some row search
+differently there, or, where the digest differs, build a different
+design.  The designs are the exact_ladder rungs,
 build_sts(31,1), doubling(build_sts(15,1)) and bose(15); the whole list
 takes about 1.5 s.  If the package imported is not the one under SRC,
 as when another copy is installed first, it prints nothing and exits 2.
@@ -41,10 +43,12 @@ def main(argv: list[str]) -> int:
     if src not in Path(search.__file__).resolve().parents:
         print(f"nonincidence was not imported from {src}", file=sys.stderr)
         return 2
-    print(f"{'nodes':>9} {'best_s':>6} {'exact':>5}  design")
+    print(f"{'nodes':>9} {'best_s':>6} {'exact':>5} {'digest':>12}  design")
     for name, make in DESIGNS:
-        rep = search.exact_max_nonincident(make(constructions))
-        print(f"{rep.nodes_visited:9d} {rep.best_s:6d} {str(rep.exact):>5}  {name}")
+        d = make(constructions)
+        rep = search.exact_max_nonincident(d)
+        print(f"{rep.nodes_visited:9d} {rep.best_s:6d} {str(rep.exact):>5} "
+              f"{d.digest()[:12]}  {name}")
     return 0
 
 
