@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import logging
 import os
@@ -274,7 +275,15 @@ def _count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and returned after that.
+
+    Reuse is safe: parse_args makes a fresh Namespace on each call, and
+    nothing in the parser changes between calls.  It holds no command
+    function (main looks each one up by name), so a cmd_* attribute
+    replaced after the first build is still the one that runs.
+    """
     ap = argparse.ArgumentParser(
         prog="nonincidence",
         description="Construct, bound, search and verify nonincident "
@@ -292,19 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--budget", type=_count, default=cons.DEFAULT_MOVE_BUDGET,
                    help="move budget of each hill-climb")
     c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_construct)
 
     b = sub.add_parser("bound", help="print the square-nonincidence upper bound")
     b.add_argument("--order", type=int, required=True)
     b.add_argument("--curve", action="store_true",
                    help="emit the bound-vs-diagonal CSV instead")
-    b.set_defaults(func=cmd_bound)
 
     f = sub.add_parser("families", help="orders where the bound is attained")
     g = f.add_mutually_exclusive_group(required=True)
     g.add_argument("--zmax", type=_count)
     g.add_argument("--classify", type=int)
-    f.set_defaults(func=cmd_families)
 
     s = sub.add_parser("search", help="search a design for nonincident sets")
     s.add_argument("--design", required=True)
@@ -312,23 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the greedy heuristic instead of exact search")
     s.add_argument("--budget", type=_count, default=srch.DEFAULT_NODE_BUDGET)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_search)
 
     vf = sub.add_parser("verify", help="check a certificate against a design")
     vf.add_argument("--design", required=True)
     vf.add_argument("--cert", required=True)
     vf.add_argument("--require-square", action="store_true")
-    vf.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("NONINCIDENCE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    # The package's log lines go to this call's stderr at this call's
+    # NONINCIDENCE_LOG level, once each, and only during the call: the
+    # handler is removed and the logger restored when the call ends.  A
+    # name that is no level (BASIC_FORMAT is a string) means WARNING.
+    level = getattr(logging, os.environ.get("NONINCIDENCE_LOG", "").upper(), None)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = log.level, log.propagate
+    log.setLevel(level if type(level) is int else logging.WARNING)
+    log.propagate = False
+    log.addHandler(handler)
     try:
-        code = args.func(args)
+        args = build_parser().parse_args(argv)
+        code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Python flushes stdout again at exit,
@@ -337,6 +349,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_FAIL
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
     return code
 
 

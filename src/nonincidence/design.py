@@ -116,11 +116,11 @@ class Design:
         return (1 << self.b) - 1
 
     def canonical_json(self) -> str:
-        return json.dumps(
-            {"v": self.v, "blocks": [list(b) for b in self.blocks]},
-            separators=(",", ":"),
-            sort_keys=True,
-        )
+        # The bytes of json.dumps with sort_keys and no spaces, in one
+        # format pass: from_blocks admits only int labels, which %d
+        # prints as json does.
+        return '{"blocks":[%s],"v":%d}' % (
+            ",".join(map("[%d,%d,%d]".__mod__, self.blocks)), self.v)
 
     def digest(self) -> str:
         return self._digest

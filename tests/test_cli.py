@@ -903,3 +903,90 @@ def test_construct_search_verify_round_trip(tmp_path):
     cert.write_text(json.dumps(data["certificate"]))
     assert run("verify", "--design", str(design), "--cert", str(cert),
                "--require-square") == EXIT_OK
+
+
+class TestCallsInOneProcess:
+    """main() builds its parser once; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_search_method_is_per_call(self, tmp_path):
+        design = tmp_path / "d.json"
+        greedy, exact = tmp_path / "greedy.json", tmp_path / "exact.json"
+        assert run("construct", "--order", "13", "--seed", "3",
+                   "--out", str(design)) == EXIT_OK
+        assert run("search", "--design", str(design), "--greedy",
+                   "--out", str(greedy)) == EXIT_OK
+        assert run("search", "--design", str(design),
+                   "--out", str(exact)) == EXIT_OK
+        assert json.loads(greedy.read_text())["method"] == "greedy"
+        assert json.loads(exact.read_text())["method"] == "exact"
+
+    def test_require_square_is_per_call(self, tmp_path):
+        # The doubling certificate holds 10 points and 12 blocks.
+        design = tmp_path / "d19.json"
+        cert = tmp_path / "d19.cert.json"
+        assert run("construct", "--order", "19", "--double-from", "9",
+                   "--out", str(design)) == EXIT_OK
+        assert run("verify", "--design", str(design), "--cert", str(cert),
+                   "--require-square") == EXIT_FAIL
+        assert run("verify", "--design", str(design),
+                   "--cert", str(cert)) == EXIT_OK
+
+    def test_usage_error_between_valid_calls(self, tmp_path):
+        assert run("construct", "--order", "9",
+                   "--out", str(tmp_path / "a.json")) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            run("construct", "--order", "19", "--sub", "9", "--double-from",
+                "9", "--out", str(tmp_path / "x.json"))
+        assert exc.value.code == EXIT_USAGE
+        assert run("construct", "--order", "9",
+                   "--out", str(tmp_path / "b.json")) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    def test_command_replaced_after_the_first_call_runs(self, tmp_path,
+                                                        monkeypatch):
+        # A tracer wraps cli.cmd_* after an untraced first call has built
+        # the parser; the wrapper must still see every later call.
+        design = tmp_path / "d19.json"
+        cert = tmp_path / "d19.cert.json"
+        assert run("construct", "--order", "19", "--double-from", "9",
+                   "--out", str(design)) == EXIT_OK
+        seen = []
+        real = cli.cmd_verify
+
+        def wrapper(args):
+            seen.append(args.cert)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_verify", wrapper)
+        assert run("verify", "--design", str(design),
+                   "--cert", str(cert)) == EXIT_OK
+        assert seen == [str(cert)]
+
+    def test_log_level_is_read_on_every_call(self, tmp_path, monkeypatch,
+                                             capsys):
+        def construct(name):
+            out = tmp_path / name
+            assert run("construct", "--order", "7", "--out", str(out)) == EXIT_OK
+            return out, capsys.readouterr().err
+
+        monkeypatch.delenv("NONINCIDENCE_LOG", raising=False)
+        _, first = construct("a.json")
+        monkeypatch.setenv("NONINCIDENCE_LOG", "INFO")
+        out, second = construct("b.json")
+        monkeypatch.delenv("NONINCIDENCE_LOG")
+        _, third = construct("c.json")
+        assert first == "" and third == ""
+        assert second == f"INFO nonincidence: wrote design order 7 to {out}\n"
+
+    @pytest.mark.parametrize("name", ["chatty", "basic_format"])
+    def test_unknown_log_level_is_warning(self, tmp_path, monkeypatch, name):
+        # A name that is no level, even one that logging defines as another
+        # thing (BASIC_FORMAT is a string), logs at WARNING.  A fresh
+        # process, whose root logger has no handler yet.
+        monkeypatch.setenv("NONINCIDENCE_LOG", name)
+        child = _run_capped("construct", "--order", "7",
+                            "--out", str(tmp_path / "d.json"))
+        assert (child.returncode, child.stdout, child.stderr) == (EXIT_OK, "", "")

@@ -31,6 +31,7 @@ from conftest import (
     disjoint_block_count,
     is_maximal_arc,
     naive_disjoint_count,
+    reference_canonical_json,
     reference_repeated_pair,
     replication,
 )
@@ -197,6 +198,41 @@ def test_validity_matches_pair_count_reference(name):
         ok, pairs = pair_count_validity(d)
         assert (rep.ok, rep.uncovered) == (ok, len(pairs))
     assert validate_design(sts).ok
+
+
+@pytest.mark.parametrize("name", SUITE_STS)
+def test_canonical_json_matches_reference(name):
+    # On the STS itself and on random block subsets of it.
+    sts = SUITE_STS[name]()
+    rng = random.Random(sts.v)
+    for k in {sts.b, sts.b // 2, min(sts.b, 1), 0}:
+        d = Design.from_blocks(sts.v, rng.sample(sts.blocks, k))
+        assert d.canonical_json() == reference_canonical_json(d)
+
+
+@pytest.mark.parametrize("v", [1, 7])
+def test_canonical_json_of_no_blocks(v):
+    d = Design.from_blocks(v, [])
+    assert d.canonical_json() == reference_canonical_json(d)
+    assert d.canonical_json() == '{"blocks":[],"v":%d}' % v
+
+
+# Full sha256 digests of the exact_ladder benchmark's four designs, which it
+# records as its input fingerprints.  A change to the canonical bytes would
+# change every stored certificate's digest, so they are pinned here.
+@pytest.mark.parametrize("make,digest", [
+    (lambda: doubling(build_sts(9, seed=1))[0],
+     "5b678168c4a20cd8d80572eaaacd04afa62d2c0a142d3c62f9cf7bb5ba8417b8"),
+    (lambda: build_sts(19, seed=1),
+     "d37a520111773ea45469d9e44daa9106976213ad0686f0334fbf8708373ec8ac"),
+    (lambda: build_sts(25, seed=1),
+     "3a8e81e0e6b6bd3941bf21ed78fbfc1d1d5790606ec903aba80338db3ef94228"),
+    (lambda: build_sts(27, seed=1),
+     "3418474dfdf61f4acbb35c1f603bbd784456daccdb2113c8beb461cdce3693a9"),
+], ids=["doubling(build_sts(9,1))", "build_sts(19,1)", "build_sts(25,1)",
+        "build_sts(27,1)"])
+def test_ladder_digests(make, digest):
+    assert make().digest() == digest
 
 
 @pytest.mark.parametrize("v,blocks", [
