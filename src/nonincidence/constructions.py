@@ -15,7 +15,7 @@ climb that its budget cannot finish still raises BudgetExhausted first.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -128,10 +128,19 @@ def _hill_climb(
     partners is drawn as ``rng.sample(unc[x], 2)`` draws it.  Index i
     comes first, below n.  For two items out of n <= 21, sample works on
     a copy of the list whose slot i takes the last partner, so j is drawn
-    below n - 1 and j == i stands for partners[n-1].  For larger n it
-    draws j below n again until j != i.  So the calls on ``rng``, and
-    therefore the blocks, are those of the row scan with those two
-    methods, while the designs depend only on the generator's bit stream.
+    below n - 1 and j == i stands for slot n - 1, the last one.  For
+    larger n it draws j below n again until j != i.  So the calls on
+    ``rng``, and therefore the blocks, are those of the row scan with
+    those two methods, while the designs depend only on the generator's
+    bit stream.
+
+    Entries leave the lists by position, never by a scan for their value.
+    x's list loses y and z at the drawn indices i and j, the larger one
+    first so that the other still points at its entry; nothing else
+    touches x's list during the move, since x is not on the evicted block.
+    unc[y] and unc[z] lose x, and on a fresh insertion each other, at
+    their ``bisect_left`` positions.  The lists stay what the row scan
+    would build, so the draws above are unchanged.
 
     A move adds at most one block, so a climb that needs more than
     move_budget new blocks cannot finish: it raises at once, before it
@@ -155,6 +164,7 @@ def _hill_climb(
             unc[p].remove(q)
 
     getrandbits = rng.getrandbits
+    index = bisect_left
     kv = v.bit_length()
     evictions = 0
     for moves in range(1, move_budget + 1):
@@ -176,12 +186,13 @@ def _hill_climb(
             j = getrandbits(k)
             while j >= n:
                 j = getrandbits(k)
-            z = partners[n if j == i else j]
+            if j == i:
+                j = n
         else:
             j = getrandbits(k)
             while j >= n or j == i:
                 j = getrandbits(k)
-            z = partners[j]
+        z = partners[j]
         ty = third[y]
         c = ty[z]
         if c < -1:
@@ -189,8 +200,8 @@ def _hill_climb(
         tz, uy, uz = third[z], unc[y], unc[z]
         if c < 0:
             missing -= 1
-            uy.remove(z)
-            uz.remove(y)
+            del uy[index(uy, z)]
+            del uz[index(uz, y)]
         else:
             # Evict {y, z, c}.
             tc, uc = third[c], unc[c]
@@ -200,13 +211,15 @@ def _hill_climb(
             insort(uc, y)
             insort(uc, z)
             evictions += 1
-        third[x][y] = ty[x] = z
-        third[x][z] = tz[x] = y
+        tx = third[x]
+        tx[y] = ty[x] = z
+        tx[z] = tz[x] = y
         ty[z] = tz[y] = x
-        partners.remove(y)
-        partners.remove(z)
-        uy.remove(x)
-        uz.remove(x)
+        if i < j:
+            i, j = j, i
+        del partners[i], partners[j]
+        del uy[index(uy, x)]
+        del uz[index(uz, x)]
         if not missing:
             break
     else:

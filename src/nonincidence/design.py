@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import eq, itemgetter
 
@@ -260,7 +260,8 @@ class NonincidenceCertificate:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """The fields as JSON, read in place: no copy of Y, C or meta."""
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NonincidenceCertificate":

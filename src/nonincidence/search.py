@@ -171,7 +171,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 
@@ -205,7 +205,9 @@ class SearchReport:
     method: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """The fields as JSON, the certificate's read in place (no copy)."""
+        return json.dumps({**vars(self), "certificate": vars(self.certificate)},
+                          indent=2, sort_keys=True)
 
 
 def kill_bound(s: int, q: int) -> int:

@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import pytest
@@ -120,6 +120,15 @@ def reference_repeated_pair(blocks) -> tuple[int, int]:
 def reference_canonical_json(d: Design) -> str:
     return json.dumps({"v": d.v, "blocks": [list(b) for b in d.blocks]},
                       separators=(",", ":"), sort_keys=True)
+
+
+# A certificate's or a search report's JSON as dataclasses.asdict built
+# it, before to_json read the fields in place.  Every certificate file was
+# written in these bytes, so they are kept as the reference.
+
+
+def reference_to_json(obj) -> str:
+    return json.dumps(asdict(obj), indent=2, sort_keys=True)
 
 
 # Point-set statistics that only the tests use.

@@ -264,6 +264,23 @@ class TestHillClimbReference:
         assert emb.design.blocks == tuple(ref)
         assert emb.meta["moves"] == need
 
+    # The reference comparison at v = 91 and 127 is slow, so these pin
+    # the climbs there by digest prefix, moves and evictions.  Partner
+    # lists pass 21 entries at these orders, so the pair draw takes its
+    # second branch as well as its first.
+    @pytest.mark.parametrize("w,v,seed,digest,moves,evictions", [
+        (21, 91, 0, "bec7d2d3a2b51cd0", 27346, 5110),
+        (21, 91, 1, "ba2956e8074a1575", 11175, 3928),
+        (21, 91, 2, "20708f198ee2c73e", 15776, 3931),
+        (31, 127, 0, "a1a05e0aebfb469c", 23905, 7377),
+        (31, 127, 1, "9dd8ad3981dd28a7", 28150, 7951),
+        (31, 127, 2, "73f398fda68430a3", 38147, 8867),
+    ])
+    def test_large_climbs_pinned(self, w, v, seed, digest, moves, evictions):
+        emb = embed_subsystem(w, v, seed)
+        assert emb.design.digest()[:16] == digest
+        assert (emb.meta["moves"], emb.meta["evictions"]) == (moves, evictions)
+
 
 class TestBuildSts:
     @pytest.mark.parametrize("v", [1, 3, 7, 9, 13, 15, 19, 21, 25, 31, 43])

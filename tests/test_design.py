@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from nonincidence import (
     exact_max_nonincident,
     greedy_max_nonincident,
     is_subsystem,
+    subsystem_complement_certificate,
     validate_design,
     verify_certificate,
 )
@@ -33,6 +35,7 @@ from conftest import (
     naive_disjoint_count,
     reference_canonical_json,
     reference_repeated_pair,
+    reference_to_json,
     replication,
 )
 
@@ -215,6 +218,49 @@ def test_canonical_json_of_no_blocks(v):
     d = Design.from_blocks(v, [])
     assert d.canonical_json() == reference_canonical_json(d)
     assert d.canonical_json() == '{"blocks":[],"v":%d}' % v
+
+
+def _doubling_certificate():
+    d, arc = doubling(build_sts(9, seed=1))
+    return NonincidenceCertificate.build(
+        d, arc, is_subsystem(d, range(9))[1],
+        meta={"construction": "doubling", "w": 9, "arc": True})
+
+
+# A certificate from each construction: the subsystem complement of an
+# embedding, the arc of a doubling, and search results on Bose and
+# hill-climbed designs.
+CERTIFIED = {
+    "embed13_39": lambda: subsystem_complement_certificate(
+        embed_subsystem(13, 39, seed=0)),
+    "doubling19": _doubling_certificate,
+    "bose15_exact": lambda: exact_max_nonincident(bose(15)).certificate,
+    "bose33_greedy": lambda: greedy_max_nonincident(bose(33)).certificate,
+    "sts19_exact": lambda: exact_max_nonincident(build_sts(19, seed=1)).certificate,
+}
+NESTED_META = {"outer": {"inner": [1, {"deep": (2, 3)}], "none": None},
+               "ratio": 0.5, "tag": "x"}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certificate_json_matches_reference(name):
+    cert = CERTIFIED[name]()
+    nested = dataclasses.replace(cert, meta={**cert.meta, "nested": NESTED_META})
+    for c in (cert, nested):
+        assert c.to_json() == reference_to_json(c)
+
+
+@pytest.mark.parametrize("search", [exact_max_nonincident, greedy_max_nonincident])
+@pytest.mark.parametrize("make", [lambda: bose(15), lambda: build_sts(19, seed=1),
+                                  lambda: embed_subsystem(21, 91, seed=0).design],
+                         ids=["bose15", "sts19_1", "embed21_91"])
+def test_report_json_matches_reference(search, make):
+    rep = search(make())
+    cert = rep.certificate
+    nested = dataclasses.replace(rep, certificate=dataclasses.replace(
+        cert, meta={**cert.meta, "nested": NESTED_META}))
+    for r in (rep, nested):
+        assert r.to_json() == reference_to_json(r)
 
 
 # Full sha256 digests of the exact_ladder benchmark's four designs, which it

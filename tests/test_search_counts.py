@@ -20,11 +20,15 @@ def test_prints_one_row_per_design():
     assert proc.returncode == 0 and proc.stderr == ""
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert rows[0] == ["nodes", "best_s", "exact", "digest", "design"]
-    assert len(rows) == 8
+    assert len(rows) == 10
     assert ["72584", "13", "True", "3a8e81e0e6b6", "build_sts(25,1)"] in rows
     assert ["132", "6", "True", "fa69563e1f98", "bose(15)"] in rows
     assert ["34215", "18", "True", "5dc9f56083d8",
             "doubling(build_sts(15,1))"] in rows
+    assert ["0", "26", "True", "b3c7d1132c11",
+            "embed_subsystem(13,39,0)"] in rows
+    assert ["0", "70", "True", "bec7d2d3a2b5",
+            "embed_subsystem(21,91,0)"] in rows
 
 
 def test_refuses_a_package_found_elsewhere(tmp_path):

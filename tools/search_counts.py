@@ -10,8 +10,12 @@ of the design's digest, one row per design.  Node counts are
 deterministic, so two trees whose tables differ in some row search
 differently there, or, where the digest differs, build a different
 design.  The designs are the exact_ladder rungs,
-build_sts(31,1), doubling(build_sts(15,1)) and bose(15); the whole list
-takes about 1.5 s.  If the package imported is not the one under SRC,
+build_sts(31,1), doubling(build_sts(15,1)), bose(15), and the
+hill-climbed embed_subsystem(13,39,0) and embed_subsystem(21,91,0).  The
+last two are equality-family orders, which the subsystem decision proves
+at 0 nodes, so their rows show whether the climb's designs moved at
+orders where partner lists pass 21 entries.  The whole list takes about
+1.5 s.  If the package imported is not the one under SRC,
 as when another copy is installed first, it prints nothing and exits 2.
 Standard library only.
 """
@@ -29,6 +33,8 @@ DESIGNS = (
     ("build_sts(31,1)", lambda c: c.build_sts(31, 1)),
     ("doubling(build_sts(15,1))", lambda c: c.doubling(c.build_sts(15, 1))[0]),
     ("bose(15)", lambda c: c.bose(15)),
+    ("embed_subsystem(13,39,0)", lambda c: c.embed_subsystem(13, 39, 0).design),
+    ("embed_subsystem(21,91,0)", lambda c: c.embed_subsystem(21, 91, 0).design),
 )
 
 
