@@ -45,16 +45,15 @@ def bose(v: int) -> Design:
     check_order(v)
     n = v // 3
     inv2 = (n + 1) // 2
-
-    def lab(x: int, j: int) -> int:
-        return x + n * j
-
-    blocks = [(lab(x, 0), lab(x, 1), lab(x, 2)) for x in range(n)]
+    # Point (x, j) of Z_n x {0,1,2} is labelled x + n*j.
+    m = 2 * n
+    blocks = [(x, x + n, x + m) for x in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             mid = ((x + y) * inv2) % n
-            for j in range(3):
-                blocks.append((lab(x, j), lab(y, j), lab(mid, (j + 1) % 3)))
+            # {(x, j), (y, j), (mid, j + 1 mod 3)} for j = 0, 1, 2
+            blocks += ((x, y, mid + n), (x + n, y + n, mid + m),
+                       (x + m, y + m, mid))
     return Design.from_blocks(v, blocks)
 
 

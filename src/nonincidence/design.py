@@ -84,16 +84,23 @@ class Design:
             raise DesignError(f"point count {v!r} is not a positive integer")
         check_order(v)
         canon = []
+        append = canon.append
         for blk in blocks:
             pts = tuple(blk)
-            if len(pts) != 3 or len(set(pts)) != 3:
-                raise DesignError(f"block {blk!r} is not a 3-set")
-            if not type(pts[0]) is type(pts[1]) is type(pts[2]) is int:
-                raise DesignError(f"block {blk!r} has a point that is not an integer")
-            pts = tuple(sorted(pts))
-            if pts[0] < 0 or pts[2] >= v:
-                raise DesignError(f"block {blk!r} has a point outside 0..{v - 1}")
-            canon.append(pts)
+            if len(pts) == 3:
+                a, b, c = pts
+                if type(a) is type(b) is type(c) is int:
+                    # Three compare-swaps sort the block.
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                        if a > b:
+                            a, b = b, a
+                    if 0 <= a < b < c < v:
+                        append((a, b, c))
+                        continue
+            raise _block_error(blk, pts, v)
         canon.sort()
         point_inc = [0] * v
         for i, (a, b, c) in enumerate(canon):
@@ -290,6 +297,19 @@ class NonincidenceCertificate:
         _check_entries(cert.Y, cert.v, "point")
         _check_entries(cert.C, None, "block index")
         return cert
+
+
+def _block_error(blk, pts: tuple, v: int) -> DesignError:
+    """Why ``pts``, read from ``blk``, is not a block of a design on v points.
+
+    The shape checks in their order: a 3-set, then int points, then the
+    range.  Called only for a block that fails one of them.
+    """
+    if len(pts) != 3 or len(set(pts)) != 3:
+        return DesignError(f"block {blk!r} is not a 3-set")
+    if not type(pts[0]) is type(pts[1]) is type(pts[2]) is int:
+        return DesignError(f"block {blk!r} has a point that is not an integer")
+    return DesignError(f"block {blk!r} has a point outside 0..{v - 1}")
 
 
 def _is_int(x) -> bool:

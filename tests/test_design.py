@@ -104,6 +104,26 @@ class TestValidate:
         with pytest.raises(DesignError):
             Design.from_blocks(7, [(0, 1, 2), (2, 1, 0)])
 
+    @pytest.mark.parametrize("blk,why", [
+        ((0, 1), "is not a 3-set"),
+        ((0, 1, 2, 3), "is not a 3-set"),
+        ((5, 1, 5), "is not a 3-set"),
+        ((1, 1.0, 2), "is not a 3-set"),   # a repeat before a non-int
+        ((3, 1.5, 2), "has a point that is not an integer"),
+        ((True, 3, 5), "has a point that is not an integer"),
+        ((6, -1, 2), "has a point outside 0..6"),
+        ((7, 0, 2), "has a point outside 0..6"),
+    ])
+    def test_bad_block_names_the_first_failed_check(self, blk, why):
+        # The checks run in order: a 3-set, int points, then the range.
+        with pytest.raises(DesignError, match=re.escape(f"block {blk!r} {why}")):
+            Design.from_blocks(7, [(0, 1, 2), blk])
+
+    def test_every_point_order_gives_the_sorted_block(self):
+        for pts in itertools.permutations((2, 4, 6)):
+            assert Design.from_blocks(7, [pts, [0, 1, 2]]).blocks == (
+                (0, 1, 2), (2, 4, 6))
+
     @pytest.mark.parametrize("v,blocks", [
         (7, [(True, 3, 5)]),    # bool would serialize as true
         (7, [(0, 1, 2), (1.0, 3, 5)]),
