@@ -163,7 +163,13 @@ A refuted s leaves the ceiling s - 1, where m is one larger: odd after
 the parity case, so the full-point case may run there, and even after the
 other two, so no case follows them.  So each case runs at most once.
 Each step of the full-point search counts against the node budget, so a
-budget that runs out inside it ends the search with exact=False.
+budget that runs out inside it ends the search with exact=False.  As in
+the tree, each step is counted and judged in its parent: a node counts
+its take and drop children there, in that order, and runs their tests in
+place.  Only a take child that branches gets a frame; the drop child goes
+on in its parent's frame, as the next turn of a loop.  The blocks taken
+are one int mask, read into W at a leaf that reaches s.  So the steps,
+and the step at which a budget runs out, are those of one call per step.
 """
 
 from __future__ import annotations
@@ -590,56 +596,92 @@ class _BranchAndBound:
         with at least one and at least two points in W, out those with a
         point outside W.  A block in in2 and out has exactly two points in
         W, whose pair no block inside W covers; W may leave at most spare
-        such pairs, so a branch with more is pruned.  Each call of grow is
-        a step, which counts against a local budget left, written back to
-        self.nodes when the search ends; a step tried with none left sets
-        self.truncated and returns None.  k is the number of blocks taken,
-        and rest[i] the blocks that meet a block i or later through w,
-        those a leaf at i drops.
+        such pairs, so a branch with more is pruned.  k is the number of
+        blocks taken, and rest[i] the blocks that meet a block i or later
+        through w, those a leaf at i drops.
+
+        Each node is a step, which counts against a local budget left,
+        written back to self.nodes when the search ends; a step tried with
+        none left sets self.truncated and ends the search with None.  A
+        node's two children, take block i and drop it, are counted and
+        judged in the node's own frame of grow, in that order: the budget,
+        the spare-pair test, and then the leaf test once k reaches need or
+        else the size test, fewer blocks left than still needed.  The take
+        child lacks as many blocks as its parent, so its size test always
+        passes.  Only a take child that must branch gets a frame; the drop
+        child, the node's last alternative, goes on in the same frame as
+        the next turn of its loop.  The blocks taken travel up as a mask
+        over the blocks through w, read into W once, at a leaf that
+        reaches s.  The steps, their order and the step at which the
+        budget runs out are those of one call per step.  It is called as
+        _decide calls it, with m odd, s >= 0 and E = spare > 0, so m >= 3:
+        the root, counted below grow, passes the spare test and is no
+        leaf.
         """
-        inc = self.inc
-        m = self.v - s
+        inc, blocks, v = self.inc, self.d.blocks, self.v
+        m = v - s
         spare = m * (m - 1) // 2 - 3 * s
         need = (m - 1) // 2
-        pairs = [tuple(p for p in self.d.blocks[i] if p != w)
-                 for i in _bits(inc[w])]
+        pairs = []
+        for i in _bits(inc[w]):
+            a, b, c = blocks[i]
+            pairs.append((b, c) if a == w else (a, c) if b == w else (a, b))
         hit = [inc[a] | inc[b] for a, b in pairs]
-        rest = [0] * (len(hit) + 1)
-        for i in range(len(hit) - 1, -1, -1):
+        n = len(hit)
+        rest = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
             rest[i] = rest[i + 1] | hit[i]
         out = 0
-        for p in set(range(self.v)).difference([w], *pairs):
-            out |= inc[p]
-        taken = []
+        # Only a partial design has a point on no block with w.
+        if 2 * n + 1 < v:
+            for p in set(range(v)).difference([w], *pairs):
+                out |= inc[p]
         left = self.node_budget - self.nodes
 
         def grow(i, k, in1, in2, out):
+            # The node at block i with k < need taken, counted and judged.
+            # Returns the mask of the blocks it takes to a W, or 0.
             nonlocal left
-            if not left:
-                self.truncated = True
-                return None
-            left -= 1
-            if (in2 & out).bit_count() > spare:
-                return None
-            if k == need:
-                # The blocks left are dropped.  Every point is then placed,
-                # so the blocks in in2 and not in out lie inside W.
-                if (in2 & ~(out | rest[i])).bit_count() < s:
-                    return None
-                return {w}.union(*(pairs[j] for j in taken))
-            if len(hit) - i < need - k:
-                return None
-            u = hit[i]
-            taken.append(i)
-            found = grow(i + 1, k + 1, in1 | u, in2 | in1 & u, out)
-            taken.pop()
-            if found is not None or self.truncated:
-                return found
-            return grow(i + 1, k, in1, in2, out | u)
+            k1, last = k + 1, n - need + k
+            while True:
+                # The child that takes block i.  It passes the size test,
+                # as its parent did: both lack need - k blocks from i on.
+                if not left:
+                    self.truncated = True
+                    return 0
+                left -= 1
+                u = hit[i]
+                t2 = in2 | in1 & u
+                if (t2 & out).bit_count() <= spare:
+                    if k1 == need:
+                        # The blocks left are dropped.  Every point is then
+                        # placed, so the blocks in the child's in2 and not
+                        # in out lie inside W.
+                        if (t2 & ~(out | rest[i + 1])).bit_count() >= s:
+                            return 1 << i
+                    else:
+                        found = grow(i + 1, k1, in1 | u, t2, out)
+                        if found:
+                            return found | 1 << i
+                # The child that drops block i, entered in this frame.
+                if not left:
+                    self.truncated = True
+                    return 0
+                left -= 1
+                out |= u
+                i += 1
+                if (in2 & out).bit_count() > spare or i > last:
+                    return 0
 
-        found = grow(0, 0, inc[w], 0, out)
+        found = 0
+        if not left:
+            self.truncated = True
+        else:
+            left -= 1
+            if n >= need:
+                found = grow(0, 0, inc[w], 0, out)
         self.nodes = self.node_budget - left
-        return found
+        return {w}.union(*(pairs[j] for j in _bits(found))) if found else None
 
     def _rec(self, cands, Y, mask, t, x1, x2, e, xm, o, xd):
         """Explore the node with points Y.  Its parent has counted it,

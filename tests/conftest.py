@@ -131,6 +131,58 @@ def reference_to_json(obj) -> str:
     return json.dumps(asdict(obj), indent=2, sort_keys=True)
 
 
+# The full-point search as it was before each step was counted and judged
+# in its parent: one recursive call per step, the taken blocks a list.
+# Kept as the reference that _BranchAndBound._full_point must match in W,
+# in the steps it counts and in where it runs out of budget.
+
+
+def reference_full_point(bb, w: int, s: int):
+    """The set W that bb._full_point(w, s) must return; it counts its
+    steps on bb.nodes and sets bb.truncated as that method does."""
+    inc = bb.inc
+    m = bb.v - s
+    spare = m * (m - 1) // 2 - 3 * s
+    need = (m - 1) // 2
+    pairs = [tuple(p for p in bb.d.blocks[i] if p != w)
+             for i in _bits(inc[w])]
+    hit = [inc[a] | inc[b] for a, b in pairs]
+    rest = [0] * (len(hit) + 1)
+    for i in range(len(hit) - 1, -1, -1):
+        rest[i] = rest[i + 1] | hit[i]
+    out = 0
+    for p in set(range(bb.v)).difference([w], *pairs):
+        out |= inc[p]
+    taken = []
+    left = bb.node_budget - bb.nodes
+
+    def grow(i, k, in1, in2, out):
+        nonlocal left
+        if not left:
+            bb.truncated = True
+            return None
+        left -= 1
+        if (in2 & out).bit_count() > spare:
+            return None
+        if k == need:
+            if (in2 & ~(out | rest[i])).bit_count() < s:
+                return None
+            return {w}.union(*(pairs[j] for j in taken))
+        if len(hit) - i < need - k:
+            return None
+        u = hit[i]
+        taken.append(i)
+        found = grow(i + 1, k + 1, in1 | u, in2 | in1 & u, out)
+        taken.pop()
+        if found is not None or bb.truncated:
+            return found
+        return grow(i + 1, k, in1, in2, out | u)
+
+    found = grow(0, 0, inc[w], 0, out)
+    bb.nodes = bb.node_budget - left
+    return found
+
+
 # Point-set statistics that only the tests use.
 
 

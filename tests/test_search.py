@@ -30,6 +30,7 @@ from conftest import (
     FANO_BLOCKS,
     block_masks,
     brute_force_oracle,
+    reference_full_point,
     reference_greedy,
 )
 
@@ -188,8 +189,9 @@ class TestExactSearch:
         # nodes to 5 steps, which find its sub-STS(9) through point 0;
         # sts19 from 1,996 to 5,143 steps, which refute 10 at every point
         # after greedy's 9 (a trivial group, so no point is skipped; the
-        # steps take about 4 ms against the tree's 15 ms on a 2-core Xeon
-        # under CPython 3.11); and v=27 from 9,236 to 1,720 nodes
+        # steps take about 1 ms against the tree's 10 ms on a 2-core Xeon
+        # under CPython 3.11, since each step is judged in its parent);
+        # and v=27 from 9,236 to 1,720 nodes
         # and 1,065 steps, which refute 16 at point 0 of a point-transitive
         # design; the swap search then took greedy's 14 to 15 in 3 swaps,
         # so the 1,720 nodes and the certificate went.  bose(15) has even
@@ -1150,6 +1152,103 @@ LIFT_DESIGNS = (
        for drop, seed in ((1, 100), (10, 1000), (25, 2504), (30, 3008))]
     + [("bose33", bose(33))])
 
+# (v, seed) -> (nodes_visited, certificate Y) of the search on
+# _packed_witness(v, seed), which ends in a decision that finds its W.
+WITNESS_FOUND = {
+    (19, 0): (593, [1, 4, 5, 6, 7, 8, 12, 13, 15, 17]),
+    (19, 1): (95, [2, 3, 4, 6, 7, 8, 10, 12, 13, 14]),
+    (19, 2): (207, [1, 2, 4, 10, 11, 12, 13, 15, 16, 17]),
+    (19, 3): (2_201, [1, 4, 7, 9, 10, 11, 13, 14, 17, 18]),
+    (27, 0): (3_591, [1, 2, 4, 6, 8, 9, 11, 12, 13, 15, 16, 20, 22, 24, 25,
+                      26]),
+    (27, 1): (6_259, [0, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16, 17, 18, 20, 21,
+                      24]),
+    (27, 2): (3_669, [1, 2, 5, 6, 8, 9, 10, 11, 12, 13, 18, 21, 22, 23, 25,
+                      26]),
+    (27, 3): (7_514, [0, 2, 3, 4, 7, 8, 11, 13, 15, 16, 17, 18, 19, 20, 22,
+                      25]),
+}
+
+
+def _full_point_designs(orders, extra):
+    """build_sts(v, k) for each order and k = 0-2, the designs in extra,
+    two doublings, and three block subsets each of build_sts(v, 1) for
+    v = 13, 19 and 25 (partial designs, some with points on no block
+    through a given w)."""
+    out = [build_sts(v, seed=k) for v in orders for k in range(3)] + extra
+    out += [doubling(build_sts(v, seed=1))[0] for v in (9, 15)]
+    for v in (13, 19, 25):
+        d = build_sts(v, seed=1)
+        rng = random.Random(v)
+        out += [Design.from_blocks(v, rng.sample(d.blocks, d.b - 1 - 3 * k))
+                for k in range(3)]
+    return out
+
+
+def _full_point_run(impl, bb, w, s, budget):
+    """(W, steps, truncated) of impl(bb, w, s) within budget steps."""
+    bb.node_budget, bb.nodes, bb.truncated = budget, 0, False
+    W = impl(bb, w, s)
+    return W, bb.nodes, bb.truncated
+
+
+def _full_point_agrees(designs, lowest, budgets):
+    """Check _full_point against reference_full_point at every point w
+    of each design and every s from lowest(bound) to the paper's bound
+    with m odd and E > 0, the cases _decide runs it in: first without a
+    budget, then at each of budgets(steps), steps being the reference's
+    count.  Return how often the reference found a W, found none or ran
+    out of budget."""
+    outcomes = Counter()
+    for d in designs:
+        bb = _BranchAndBound(d, 0)
+        bound = nonincidence_upper_bound(d.v)
+        for s in range(lowest(bound), bound + 1):
+            m = d.v - s
+            if m % 2 == 0 or m * (m - 1) // 2 <= 3 * s:
+                continue
+            for w in range(d.v):
+                full = _full_point_run(reference_full_point, bb, w, s, 10**9)
+                assert _full_point_run(_BranchAndBound._full_point, bb, w, s,
+                                       10**9) == full, (d.v, w, s)
+                for budget in budgets(full[1]):
+                    ref = _full_point_run(reference_full_point, bb, w, s,
+                                          budget)
+                    new = _full_point_run(_BranchAndBound._full_point, bb, w,
+                                          s, budget)
+                    assert new == ref, (d.v, w, s, budget)
+                    outcomes["ran out" if ref[2] else
+                             "none" if ref[0] is None else "found"] += 1
+    return outcomes
+
+
+class TestFullPointReference:
+    # _full_point counts and judges each child in its parent; the
+    # reference makes one call per step.  They must find the same W in the
+    # same steps and run out of budget at the same step.
+
+    def test_agrees_near_the_bound(self):
+        # 33 designs, at the two values of s next to the bound.
+        designs = _full_point_designs((7, 9, 13, 15, 19, 21, 25), [bose(27)])
+        assert len(designs) == 33
+        outcomes = _full_point_agrees(
+            designs, lambda bound: bound - 1,
+            lambda steps: {steps, steps - 1, steps // 2, 0})
+        assert min(outcomes.values()) >= 100 and len(outcomes) == 3
+
+    @pytest.mark.slow
+    def test_agrees_at_every_s(self):
+        # Every s with m odd and E > 0, nine budgets around each count, and
+        # v = 31 and bose(33) besides.
+        designs = _full_point_designs((7, 9, 13, 15, 19, 21, 25, 31),
+                                      [bose(27), bose(33)])
+        outcomes = _full_point_agrees(
+            designs, lambda bound: 1,
+            lambda steps: {b for b in (0, 1, 2, steps // 3, steps // 2,
+                                       steps - 2, steps - 1, steps, steps + 1)
+                           if b >= 0})
+        assert min(outcomes.values()) >= 1000 and len(outcomes) == 3
+
 
 class TestCeilingDecision:
     def test_parity_case_is_the_packing_ceiling(self):
@@ -1216,10 +1315,14 @@ class TestCeilingDecision:
         # point.  On these designs the search takes 95-2,201 nodes and
         # steps at v=19 and 3,591-7,514 at v=27 (4,743-8,154 without the
         # swap search); with neither the decision nor the swap search the
-        # tree takes 973-1,352 and 7,564-17,191 nodes.
+        # tree takes 973-1,352 and 7,564-17,191 nodes.  Each search ends
+        # in a decision that finds its W, so the count and the certified
+        # points pin the path of the step that finds it.
+        nodes, Y = WITNESS_FOUND[v, seed]
         d = _packed_witness(v, seed)
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == rep.bound_used
+        assert rep.nodes_visited == nodes and list(rep.certificate.Y) == Y
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     @pytest.mark.parametrize("make", [

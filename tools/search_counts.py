@@ -10,14 +10,19 @@ of the design's digest, one row per design.  Node counts are
 deterministic, so two trees whose tables differ in some row search
 differently there, or, where the digest differs, build a different
 design.  The designs are the exact_ladder rungs,
-build_sts(31,1), doubling(build_sts(15,1)), bose(15), and the
-hill-climbed embed_subsystem(13,39,0) and embed_subsystem(21,91,0).  The
-last two are equality-family orders, which the subsystem decision proves
-at 0 nodes, so their rows show whether the climb's designs moved at
-orders where partner lists pass 21 entries.  The whole list takes about
-1.5 s.  If the package imported is not the one under SRC,
-as when another copy is installed first, it prints nothing and exits 2.
-Standard library only.
+build_sts(25,0), build_sts(31,1), doubling(build_sts(15,1)), bose(15),
+and the hill-climbed embed_subsystem(13,39,0) and
+embed_subsystem(21,91,0).  Every step of build_sts(25,0) is a step of
+the full-point ceiling decision: at s = 14, where E >= m, it finds no W
+with a full point and lifts the floor, and the swap search then meets
+the ceiling before the tree.  So its row counts that decision alone,
+beside build_sts(19,1)'s refutation and build_sts(27,1)'s
+point-transitive group.  The two embed_subsystem designs are at
+equality-family orders, which the subsystem decision proves at 0 nodes,
+so their rows show whether the climb's designs moved at orders where
+partner lists pass 21 entries.  The whole list takes about 1.5 s.  If
+the package imported is not the one under SRC, as when another copy is
+installed first, it prints nothing and exits 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ DESIGNS = (
     ("doubling(build_sts(9,1))", lambda c: c.doubling(c.build_sts(9, 1))[0]),
     ("build_sts(19,1)", lambda c: c.build_sts(19, 1)),
     ("build_sts(25,1)", lambda c: c.build_sts(25, 1)),
+    ("build_sts(25,0)", lambda c: c.build_sts(25, 0)),
     ("build_sts(27,1)", lambda c: c.build_sts(27, 1)),
     ("build_sts(31,1)", lambda c: c.build_sts(31, 1)),
     ("doubling(build_sts(15,1))", lambda c: c.doubling(c.build_sts(15, 1))[0]),
