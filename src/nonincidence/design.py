@@ -123,9 +123,15 @@ class Design:
         return (1 << self.b) - 1
 
     def canonical_json(self) -> str:
+        return self._canonical_json
+
+    @cached_property
+    def _canonical_json(self) -> str:
         # The bytes of json.dumps with sort_keys and no spaces, in one
         # format pass: from_blocks admits only int labels, which %d
-        # prints as json does.
+        # prints as json does.  Computed on first use and kept in the
+        # instance's __dict__, which the frozen fields, eq, hash and repr
+        # never look at; the digest and a written design share it.
         return '{"blocks":[%s],"v":%d}' % (
             ",".join(map("[%d,%d,%d]".__mod__, self.blocks)), self.v)
 
@@ -134,9 +140,14 @@ class Design:
 
     @cached_property
     def _digest(self) -> str:
-        # Computed on first use and kept in the instance's __dict__, which
-        # the frozen fields, eq, hash and repr never look at.
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        # Kept like _canonical_json.
+        return hashlib.sha256(self._canonical_json.encode()).hexdigest()
+
+    @cached_property
+    def _block_points(self) -> tuple[int, ...]:
+        # The mask over the points of each block, kept like _digest; see
+        # search.py, whose tree is its one reader.
+        return tuple(1 << a | 1 << b | 1 << c for a, b, c in self.blocks)
 
     @cached_property
     def third(self) -> tuple[tuple[int, ...], ...]:

@@ -134,16 +134,21 @@ def reference_to_json(obj) -> str:
 # The full-point search as it was before each step was counted and judged
 # in its parent: one recursive call per step, the taken blocks a list.
 # Kept as the reference that _BranchAndBound._full_point must match in W,
-# in the steps it counts and in where it runs out of budget.
+# in the steps it counts and in where it runs out of budget.  With rim
+# set it prunes, as _full_point does, a node whose need blocks through w
+# and rim blocks (those not through w) with no point out fall short of s;
+# without it, it is the search as it was before that rule, which must
+# find the same W.
 
 
-def reference_full_point(bb, w: int, s: int):
+def reference_full_point(bb, w: int, s: int, rim: bool = True):
     """The set W that bb._full_point(w, s) must return; it counts its
     steps on bb.nodes and sets bb.truncated as that method does."""
     inc = bb.inc
     m = bb.v - s
     spare = m * (m - 1) // 2 - 3 * s
     need = (m - 1) // 2
+    rim_mask = bb.d.all_blocks_mask() & ~inc[w]
     pairs = [tuple(p for p in bb.d.blocks[i] if p != w)
              for i in _bits(inc[w])]
     hit = [inc[a] | inc[b] for a, b in pairs]
@@ -163,6 +168,8 @@ def reference_full_point(bb, w: int, s: int):
             return None
         left -= 1
         if (in2 & out).bit_count() > spare:
+            return None
+        if rim and need + (rim_mask & ~out).bit_count() < s:
             return None
         if k == need:
             if (in2 & ~(out | rest[i])).bit_count() < s:

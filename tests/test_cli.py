@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -910,6 +911,28 @@ class TestCallsInOneProcess:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_construct_formats_the_design_once(self, tmp_path, monkeypatch):
+        # The certificate's digest and the written file share one
+        # canonical text.
+        formatted = []
+        fmt = Design._canonical_json.func
+
+        def counted(d):
+            formatted.append(d.v)
+            return fmt(d)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Design, "_canonical_json")
+        monkeypatch.setattr(Design, "_canonical_json", prop)
+        for order, flag, w in (("21", "--sub", "9"),
+                               ("19", "--double-from", "9")):
+            assert run("construct", "--order", order, flag, w, "--out",
+                       str(tmp_path / f"d{order}.json")) == EXIT_OK
+        assert formatted == [21, 19]
+        for order in ("21", "19"):
+            text = (tmp_path / f"d{order}.json").read_text()
+            assert Design.from_json(text).canonical_json() == text
 
     def test_search_method_is_per_call(self, tmp_path):
         design = tmp_path / "d.json"

@@ -48,6 +48,17 @@ def relabel(d, seed):
 
 
 class TestExactSearch:
+    def test_block_points_are_built_only_for_a_tree(self):
+        # The decision ends the search on build_sts(19, 1) before any
+        # tree, so its point masks per block are never built; the tree
+        # on build_sts(25, 1) builds and keeps them.
+        d = build_sts(19, seed=1)
+        assert exact_max_nonincident(d).exact
+        assert "_block_points" not in vars(d)
+        d = build_sts(25, seed=1)
+        assert exact_max_nonincident(d).exact
+        assert vars(d)["_block_points"] == tuple(block_masks(d))
+
     def test_fano(self, fano):
         rep = exact_max_nonincident(fano)
         assert rep.best_s == 2
@@ -135,13 +146,14 @@ class TestExactSearch:
         # symmetry to skip.  The full-point ceiling decision ends the v=27
         # search at 2,785: 1,720 nodes reach 15, then 1,065 steps on point
         # 0 refute 16; the swap search now reaches 15 before the tree, so
-        # the 1,065 steps are all.  At v=25 the parity case lowers the
-        # ceiling to 14 (even m); the full-point decision at 14 (odd m,
-        # E = 13 >= m = 11) then finds no full point in 41,095 steps and
-        # lifts the floor, and
-        # the tree proves 13 in 31,489 nodes: 72,584 in all, against
-        # 64,813 tree nodes without the decision.  v=31 has even m and
-        # 2E >= m, so neither case runs there.
+        # the 1,065 steps are all, and 689 since the decision's rim rule.
+        # At v=25 the parity case lowers the ceiling to 14 (even m); the
+        # full-point decision at 14 (odd m, E = 13 >= m = 11) then finds
+        # no full point in 41,095 steps (25,621 with the rim rule) and
+        # lifts the floor, and the tree proves 13 in 31,489 nodes: 72,584
+        # in all (57,110), against 64,813 tree nodes without the
+        # decision.  v=31 has even m and 2E >= m, so neither case runs
+        # there.
         # bose(21) has no sub-STS(9), so its ceiling is lowered from 12 to
         # 11: the search took 222 nodes, and 651 without the lowering; the
         # swap search now reaches 11 before the tree, in 0 nodes.
@@ -162,13 +174,13 @@ class TestExactSearch:
             (lambda: doubling(build_sts(9, seed=1))[0], 5,
              [9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
              [0, 1, 2, 3, 9, 10, 11, 17, 18, 24]),
-            (lambda: build_sts(19, seed=1), 5_143,
+            (lambda: build_sts(19, seed=1), 3_377,
              [0, 1, 2, 3, 4, 5, 6, 7, 10],
              [47, 48, 49, 50, 51, 53, 54, 55, 56]),
-            (lambda: build_sts(25, seed=1), 72_584,
+            (lambda: build_sts(25, seed=1), 57_110,
              [0, 1, 3, 4, 5, 6, 7, 9, 18, 19, 20, 22, 23],
              [30, 31, 32, 33, 72, 75, 76, 80, 81, 83, 84, 88, 90]),
-            (lambda: build_sts(27, seed=1), 1_065,
+            (lambda: build_sts(27, seed=1), 689,
              [2, 3, 4, 6, 7, 8, 11, 13, 15, 17, 18, 19, 20, 21, 26],
              [0, 4, 12, 16, 23, 24, 58, 62, 81, 83, 85, 94, 103, 105, 112]),
             (lambda: build_sts(31, seed=1), 93_979,
@@ -199,7 +211,11 @@ class TestExactSearch:
         # went from 64,813 tree nodes to 41,095 steps that refute a full
         # point at 14 and 31,489 nodes under the lifted floor: fewer tree
         # nodes and cheaper steps; the whole search now takes 0.14-0.16 s
-        # on that Xeon.
+        # on that Xeon.  The decision's rim rule, which prunes a node once
+        # need plus the blocks not through w with no point out fall short
+        # of s, then took sts19 to 3,377 steps (0.85-0.89 ms for the whole
+        # search), v=27 to 689 and v=25 to 25,621 decision steps, 57,110
+        # in all.
         # v=31 has even m = 12 at its ceiling 19 and 2E = 18 >= m, so no
         # decision runs and the tree proves 18 under the parity floor 1;
         # that floor inverted (0 at even m, 1 at odd m) reads 89,839.
@@ -217,11 +233,12 @@ class TestExactSearch:
         # without its parity term, 2,146,188 with both, 616,148 once root
         # and first-child children symmetric to an earlier sibling are
         # skipped, 294,090 once a refuted full point at the lowered
-        # ceiling 20 lifts the floor (9,907 of them decision steps), and
-        # 276,482 once the swap search raises greedy's incumbent.
+        # ceiling 20 lifts the floor (9,907 of them decision steps),
+        # 276,482 once the swap search raises greedy's incumbent, and
+        # 272,236 once the decision's rim rule cuts its steps to 5,661.
         d = bose(33)
         rep = exact_max_nonincident(d, node_budget=300_000)
-        assert rep.exact and rep.nodes_visited == 276_482
+        assert rep.exact and rep.nodes_visited == 272_236
         assert rep.best_s == 19
         assert verify_certificate(d, rep.certificate, require_square=True)
 
@@ -798,20 +815,21 @@ class TestOrbits:
         # Out of steps, no map is found and no child is skipped: the search
         # is still exact.  It reaches 15 at node 1,720, as with orbits, but
         # the ceiling decision then refutes 16 at each of the 27 points in
-        # place of point 0 alone: 30,111 steps.  The swap search reaches 15
-        # before the tree, so these steps are all (31,831 with the 1,720
-        # nodes, 24,121 tree nodes before the decision).
+        # place of point 0 alone: 19,645 steps (30,111 before the
+        # decision's rim rule).  The swap search reaches 15 before the
+        # tree, so these steps are all (31,831 with the 1,720 nodes before
+        # the rim rule, 24,121 tree nodes before the decision).
         monkeypatch.setattr(search, "_ORBIT_STEPS", 0)
         d = build_sts(27, seed=1)
         assert _orbits(d) == _orbits(d, (0,)) == list(range(27))
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == 15
-        assert rep.nodes_visited == 30_111
+        assert rep.nodes_visited == 19_645
 
     @pytest.mark.parametrize("make,nodes,asked", [
-        (lambda: build_sts(27, seed=1), 1_065, [()]),
+        (lambda: build_sts(27, seed=1), 689, [()]),
         (lambda: doubling(build_sts(15, seed=1))[0], 34_215, [(0,), ()]),
-        (lambda: build_sts(25, seed=1), 72_584, [(), (0,)]),
+        (lambda: build_sts(25, seed=1), 57_110, [(), (0,)]),
     ], ids=["sts27", "doubling15", "sts25"])
     def test_asks_for_the_root_and_the_first_child_stabiliser(
             self, make, nodes, asked, monkeypatch):
@@ -1155,17 +1173,17 @@ LIFT_DESIGNS = (
 # (v, seed) -> (nodes_visited, certificate Y) of the search on
 # _packed_witness(v, seed), which ends in a decision that finds its W.
 WITNESS_FOUND = {
-    (19, 0): (593, [1, 4, 5, 6, 7, 8, 12, 13, 15, 17]),
-    (19, 1): (95, [2, 3, 4, 6, 7, 8, 10, 12, 13, 14]),
-    (19, 2): (207, [1, 2, 4, 10, 11, 12, 13, 15, 16, 17]),
-    (19, 3): (2_201, [1, 4, 7, 9, 10, 11, 13, 14, 17, 18]),
-    (27, 0): (3_591, [1, 2, 4, 6, 8, 9, 11, 12, 13, 15, 16, 20, 22, 24, 25,
+    (19, 0): (405, [1, 4, 5, 6, 7, 8, 12, 13, 15, 17]),
+    (19, 1): (79, [2, 3, 4, 6, 7, 8, 10, 12, 13, 14]),
+    (19, 2): (155, [1, 2, 4, 10, 11, 12, 13, 15, 16, 17]),
+    (19, 3): (1_485, [1, 4, 7, 9, 10, 11, 13, 14, 17, 18]),
+    (27, 0): (2_415, [1, 2, 4, 6, 8, 9, 11, 12, 13, 15, 16, 20, 22, 24, 25,
                       26]),
-    (27, 1): (6_259, [0, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16, 17, 18, 20, 21,
+    (27, 1): (4_147, [0, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16, 17, 18, 20, 21,
                       24]),
-    (27, 2): (3_669, [1, 2, 5, 6, 8, 9, 10, 11, 12, 13, 18, 21, 22, 23, 25,
+    (27, 2): (2_483, [1, 2, 5, 6, 8, 9, 10, 11, 12, 13, 18, 21, 22, 23, 25,
                       26]),
-    (27, 3): (7_514, [0, 2, 3, 4, 7, 8, 11, 13, 15, 16, 17, 18, 19, 20, 22,
+    (27, 3): (5_054, [0, 2, 3, 4, 7, 8, 11, 13, 15, 16, 17, 18, 19, 20, 22,
                       25]),
 }
 
@@ -1185,21 +1203,40 @@ def _full_point_designs(orders, extra):
     return out
 
 
-def _full_point_run(impl, bb, w, s, budget):
+def _sparse_subsets():
+    """build_sts(v, k) for v = 9-21 and k = 0-3, and six random block
+    subsets of each that keep 70-90% of its blocks: partial designs in
+    which many points lie on few blocks with w, so that the rim rule of
+    _full_point is often tight."""
+    out = []
+    for v in (9, 13, 15, 19, 21):
+        for k in range(4):
+            d = build_sts(v, seed=k)
+            rng = random.Random(10 * v + k)
+            out += [d] + [Design.from_blocks(v, rng.sample(
+                d.blocks, round(d.b * rng.uniform(0.7, 0.9))))
+                for _ in range(6)]
+    return out
+
+
+def _full_point_run(impl, bb, w, s, budget, **kw):
     """(W, steps, truncated) of impl(bb, w, s) within budget steps."""
     bb.node_budget, bb.nodes, bb.truncated = budget, 0, False
-    W = impl(bb, w, s)
+    W = impl(bb, w, s, **kw)
     return W, bb.nodes, bb.truncated
 
 
 def _full_point_agrees(designs, lowest, budgets):
-    """Check _full_point against reference_full_point at every point w
-    of each design and every s from lowest(bound) to the paper's bound
-    with m odd and E > 0, the cases _decide runs it in: first without a
-    budget, then at each of budgets(steps), steps being the reference's
-    count.  Return how often the reference found a W, found none or ran
-    out of budget."""
-    outcomes = Counter()
+    """Check _full_point at every point w of each design and every s from
+    lowest(bound) to the paper's bound with m odd and E > 0, the cases
+    _decide runs it in.  First its W, without a budget, must be that of
+    reference_full_point without the rim rule, in every case, so that an
+    unsound prune fails on a lost or changed W before any count is
+    compared.  Then it must match reference_full_point in W, steps and
+    truncation without a budget and at each of budgets(steps), steps
+    being the reference's count.  Return how often the reference found a
+    W, found none or ran out of budget."""
+    cases = []
     for d in designs:
         bb = _BranchAndBound(d, 0)
         bound = nonincidence_upper_bound(d.v)
@@ -1207,25 +1244,32 @@ def _full_point_agrees(designs, lowest, budgets):
             m = d.v - s
             if m % 2 == 0 or m * (m - 1) // 2 <= 3 * s:
                 continue
-            for w in range(d.v):
-                full = _full_point_run(reference_full_point, bb, w, s, 10**9)
-                assert _full_point_run(_BranchAndBound._full_point, bb, w, s,
-                                       10**9) == full, (d.v, w, s)
-                for budget in budgets(full[1]):
-                    ref = _full_point_run(reference_full_point, bb, w, s,
-                                          budget)
-                    new = _full_point_run(_BranchAndBound._full_point, bb, w,
-                                          s, budget)
-                    assert new == ref, (d.v, w, s, budget)
-                    outcomes["ran out" if ref[2] else
-                             "none" if ref[0] is None else "found"] += 1
+            cases += [(bb, w, s) for w in range(d.v)]
+    for bb, w, s in cases:
+        assert (_full_point_run(_BranchAndBound._full_point, bb, w, s,
+                                10**9)[0]
+                == _full_point_run(reference_full_point, bb, w, s, 10**9,
+                                   rim=False)[0]), (bb.v, bb.d.b, w, s)
+    outcomes = Counter()
+    for bb, w, s in cases:
+        full = _full_point_run(reference_full_point, bb, w, s, 10**9)
+        assert _full_point_run(_BranchAndBound._full_point, bb, w, s,
+                               10**9) == full, (bb.v, bb.d.b, w, s)
+        for budget in budgets(full[1]):
+            ref = _full_point_run(reference_full_point, bb, w, s, budget)
+            new = _full_point_run(_BranchAndBound._full_point, bb, w, s,
+                                  budget)
+            assert new == ref, (bb.v, bb.d.b, w, s, budget)
+            outcomes["ran out" if ref[2] else
+                     "none" if ref[0] is None else "found"] += 1
     return outcomes
 
 
 class TestFullPointReference:
     # _full_point counts and judges each child in its parent; the
     # reference makes one call per step.  They must find the same W in the
-    # same steps and run out of budget at the same step.
+    # same steps and run out of budget at the same step, and the rim rule
+    # must keep the W of the search without it.
 
     def test_agrees_near_the_bound(self):
         # 33 designs, at the two values of s next to the bound.
@@ -1235,6 +1279,19 @@ class TestFullPointReference:
             designs, lambda bound: bound - 1,
             lambda steps: {steps, steps - 1, steps // 2, 0})
         assert min(outcomes.values()) >= 100 and len(outcomes) == 3
+
+    def test_agrees_on_sparse_subsets(self):
+        # Every s with m odd and E > 0 on 140 designs, most of them block
+        # subsets.  A rim rule that prunes at equality changes the W of
+        # 115 of these (w, s) and loses 51 of them: on a 25-block subset
+        # of an STS(15) at s = 6 and w = 5, the search without the rule
+        # finds a W and that one finds none.
+        designs = _sparse_subsets()
+        assert len(designs) == 140
+        outcomes = _full_point_agrees(
+            designs, lambda bound: 1,
+            lambda steps: {steps, steps - 1, steps // 2, 0})
+        assert min(outcomes.values()) >= 1000 and len(outcomes) == 3
 
     @pytest.mark.slow
     def test_agrees_at_every_s(self):
@@ -1290,8 +1347,8 @@ class TestCeilingDecision:
         # there too: at 14 the limit is 0 and the parity term |10 - o|/2,
         # with e >= o/2, prunes every node.  That took 60,100 tree nodes.
         # Now greedy's 13 runs the full-point decision at 14, which finds
-        # no full point in 41,159 steps (no W of this design that reaches
-        # 14 has one) and lifts the floor.  The tree then reached 14 at
+        # no full point in 41,159 steps, 25,579 with the rim rule (no W of
+        # this design that reaches 14 has one), and lifts the floor.  The tree then reached 14 at
         # node 30,320 of its own, 71,479 in all; now the swap search
         # reaches 14 in 10 swaps, before the tree.
         taken = []
@@ -1305,16 +1362,17 @@ class TestCeilingDecision:
         d = build_sts(25, seed=0)
         rep = exact_max_nonincident(d)
         assert rep.exact and rep.best_s == 14 and rep.bound_used == 15
-        assert taken[-1] == (14, rep.nodes_visited) == (14, 41_159)
+        assert taken[-1] == (14, rep.nodes_visited) == (14, 25_579)
         assert verify_certificate(d, rep.certificate, require_square=True)
 
     @pytest.mark.parametrize("v", [19, 27])
     @pytest.mark.parametrize("seed", range(4))
     def test_witness_reaches_the_bound(self, v, seed):
         # W holds s* blocks, so the decision must find a W through a full
-        # point.  On these designs the search takes 95-2,201 nodes and
-        # steps at v=19 and 3,591-7,514 at v=27 (4,743-8,154 without the
-        # swap search); with neither the decision nor the swap search the
+        # point.  On these designs the search takes 79-1,485 nodes and
+        # steps at v=19 and 2,415-5,054 at v=27 (95-2,201 and 3,591-7,514
+        # before the decision's rim rule, and at v=27 4,743-8,154 before
+        # that without the swap search); with neither the decision nor the swap search the
         # tree takes 973-1,352 and 7,564-17,191 nodes.  Each search ends
         # in a decision that finds its W, so the count and the certified
         # points pin the path of the step that finds it.
@@ -1415,7 +1473,7 @@ class TestCeilingDecision:
         bb = _BranchAndBound(d, 2 * 10**6)
         assert bb.best < 29
         bb._incumbent(29, bb.best_Y)
-        assert bb.decisions == [("full point", 30, "floor lifted", 1_386_415)]
+        assert bb.decisions == [("full point", 30, "floor lifted", 887_005)]
         assert (bb.ceiling, bb.limit, bb.floor) == (30, 30, 2)
         # The node with X = W and Y all but point 44 must be kept.  Each
         # point of W misses exactly two pairs, so it adds exactly 2 to
@@ -1444,31 +1502,31 @@ class TestCeilingDecision:
 
     def test_budget_out_inside_the_decision_is_not_exact(self):
         # Greedy reaches 9 on build_sts(19, 1), so the decision starts at
-        # once and needs 5,143 steps.
+        # once and needs 3,377 steps.
         d = build_sts(19, seed=1)
-        for budget in (0, 100, 5_142):
+        for budget in (0, 100, 3_376):
             rep = exact_max_nonincident(d, node_budget=budget)
             assert not rep.exact
             assert rep.nodes_visited == budget and rep.best_s == 9
-        assert exact_max_nonincident(d, node_budget=5_143).exact
+        assert exact_max_nonincident(d, node_budget=3_377).exact
 
     def test_budget_out_on_either_side_of_the_tree_is_not_exact(self):
-        # build_sts(25, 1) spends 41,095 steps on the decision and 31,489
+        # build_sts(25, 1) spends 25,621 steps on the decision and 31,489
         # nodes in the tree.  A budget that runs out at the decision's
         # last step, at the tree's first node, one node into the tree,
         # inside it or at its last node stops there, not exact, with
-        # greedy's 13; the whole 72,584 proves 13.
+        # greedy's 13; the whole 57,110 proves 13.
         d = build_sts(25, seed=1)
-        for budget in (41_094, 41_095, 41_096, 60_000, 72_583):
+        for budget in (25_620, 25_621, 25_622, 40_000, 57_109):
             rep = exact_max_nonincident(d, node_budget=budget)
             assert not rep.exact
             assert rep.nodes_visited == budget and rep.best_s == 13
-        rep = exact_max_nonincident(d, node_budget=72_584)
-        assert rep.exact and rep.nodes_visited == 72_584
+        rep = exact_max_nonincident(d, node_budget=57_110)
+        assert rep.exact and rep.nodes_visited == 57_110
 
     @pytest.mark.parametrize("make,budget,lines", [
         (lambda: build_sts(19, seed=1), 10_000,
-         ["ceiling decision (full point case): s*=10 refuted, 5143 steps"]),
+         ["ceiling decision (full point case): s*=10 refuted, 3377 steps"]),
         (lambda: build_sts(19, seed=1), 100,
          ["ceiling decision (full point case): s*=10 budget ran out, 100 "]),
         (lambda: doubling(build_sts(9, seed=1))[0], 10_000,
@@ -1478,7 +1536,7 @@ class TestCeilingDecision:
           "swap search: s=11 found, swaps used: 3"]),
         (lambda: build_sts(25, seed=0), 100_000,
          ["ceiling decision (parity case): s*=15 refuted, 0 steps",
-          "ceiling decision (full point case): s*=14 floor lifted, 41159 ",
+          "ceiling decision (full point case): s*=14 floor lifted, 25579 ",
           "swap search: s=14 found, swaps used: 10"]),
         (lambda: bose(15), 10_000,
          ["swap search: s=7 not found, swaps used: 30"]),

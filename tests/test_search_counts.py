@@ -21,8 +21,8 @@ def test_prints_one_row_per_design():
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert rows[0] == ["nodes", "best_s", "exact", "digest", "design"]
     assert len(rows) == 11
-    assert ["72584", "13", "True", "3a8e81e0e6b6", "build_sts(25,1)"] in rows
-    assert ["41159", "14", "True", "1b1f71414d08", "build_sts(25,0)"] in rows
+    assert ["57110", "13", "True", "3a8e81e0e6b6", "build_sts(25,1)"] in rows
+    assert ["25579", "14", "True", "1b1f71414d08", "build_sts(25,0)"] in rows
     assert ["132", "6", "True", "fa69563e1f98", "bose(15)"] in rows
     assert ["34215", "18", "True", "5dc9f56083d8",
             "doubling(build_sts(15,1))"] in rows
